@@ -79,3 +79,28 @@ def stencil_scale(kinds: tuple[str, ...], t: np.ndarray, v: np.ndarray) -> np.nd
     for kind in reversed(kinds):
         cur_t, cur_v = abs_first_pass(kind, cur_t, cur_v)
     return cur_v
+
+
+def long_double_march(t: np.ndarray, kappa: float, value: float, slope: float, op: str,
+                      second_value: float | None = None) -> np.ndarray:
+    """The oscillator march as a point-by-point three-term recurrence in long double.
+
+    ``op`` is "d- d+" or "d2".  This is the paper's explicit solve of the
+    three-point stencil equation for w_{k+1}, kept as an independent oracle
+    for the blocked value–slope march.  The start is w_1 = w_0 + h_0 * slope
+    unless ``second_value`` gives w_1.
+    """
+    if op not in ("d- d+", "d2"):
+        raise ValueError(op)
+    h = np.diff(np.asarray(t, dtype=np.longdouble))
+    kap = np.longdouble(kappa)
+    w = np.empty(h.size + 1, dtype=np.longdouble)
+    w[0] = value
+    w[1] = w[0] + h[0] * np.longdouble(slope) if second_value is None else second_value
+    for k in range(1, h.size):
+        hm, hp = h[k - 1], h[k]
+        if op == "d2":
+            w[k + 1] = w[k] + hp * ((w[k] - w[k - 1]) / hm - kap * w[k] * (hm + hp) / 2)
+        else:
+            w[k + 1] = ((hp + hm) * w[k] - hp * w[k - 1] - kap * w[k] * hp * hm * hm) / hm
+    return w

@@ -149,6 +149,14 @@ class TestOscillatorCommand:
         )
         assert result.exit_code != 0
 
+    def test_diverging_march_is_reported(self, runner, tmp_path):
+        result = run(
+            runner, "--out", tmp_path, "oscillator",
+            "--kappa", "1e6", "--mesh", "uniform:0,50,101",
+        )
+        assert result.exit_code != 0
+        assert "the march diverged" in result.output
+
 
 class TestPresets:
     def test_ex5_1_summary(self, runner, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from nufd import (
     D2_CORRECTED,
     FirstDiffKind,
     IvpProblem,
+    MarchDivergedError,
+    Mesh,
     SecondDiffSpec,
     build_geometric,
     build_uniform,
@@ -18,12 +22,29 @@ from nufd import (
 )
 from nufd.presets import OSCILLATOR_KAPPA, oscillator_meshes
 
-from helpers import EPS, stencil_scale
+from helpers import EPS, long_double_march, stencil_scale
 
 
 @pytest.fixture(scope="module")
 def meshes():
     return oscillator_meshes()
+
+
+def _accuracy_meshes():
+    n = 10**4
+    r = 1.0 + 2.0 / n
+    steps = 1.0 + 0.3 * np.random.default_rng(20100601).uniform(-1.0, 1.0, n - 1)
+    points = np.concatenate(([0.0], np.cumsum(steps)))
+    return {
+        "uniform": build_uniform(0.0, 1.0, n),
+        "graded": build_geometric(0.0, (r - 1.0) / (r ** (n - 1) - 1.0), r, n - 2),
+        "jittered": Mesh(points / points[-1]),
+        "geometric": oscillator_meshes()[0],
+    }
+
+
+def _relative_error(w: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.max(np.abs(w - reference)) / np.max(np.abs(reference)))
 
 
 class TestSolve:
@@ -86,6 +107,56 @@ class TestSolve:
         np.testing.assert_array_equal(solution.w.values, 0.0)
         np.testing.assert_array_equal(solution.exact.values, 0.0)
         assert solution.sld is None
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    def test_zero_data_stays_zero_on_a_diverging_mesh(self, operator):
+        # kappa*h**2 = 2.5e5: every block's basis overflows, and 0 * inf
+        # must not turn the zero solution into NaN
+        mesh = build_uniform(0.0, 5e4, 10**5)
+        problem = IvpProblem(
+            kappa=1e6, mesh=mesh, operator=operator, initial_value=0.0, initial_slope=0.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve(problem)
+        np.testing.assert_array_equal(solution.w.values, 0.0)
+        assert solution.sld is None
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    def test_diverging_march_raises_a_named_error(self, operator):
+        mesh = build_uniform(0.0, 50.0, 101)
+        problem = IvpProblem(kappa=1e6, mesh=mesh, operator=operator)
+        reference = long_double_march(mesh.points, 1e6, 1.0, -1.0, str(operator))
+        first_overflow = int(np.argmax(np.abs(reference) > np.finfo(float).max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarchDivergedError) as info:
+                solve(problem)
+        assert isinstance(info.value, ValueError)
+        assert info.value.index == first_overflow
+        assert info.value.max_growth == pytest.approx(1e6 * 0.5**2, rel=1e-12)
+        assert f"from index {first_overflow}" in str(info.value)
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("name", ["uniform", "graded", "jittered", "geometric"])
+    def test_agrees_with_a_long_double_march(self, name, operator):
+        mesh = _accuracy_meshes()[name]
+        w = solve(IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh, operator=operator)).w.values
+        reference = long_double_march(mesh.points, OSCILLATOR_KAPPA, 1.0, -1.0, str(operator))
+        assert _relative_error(w, reference) <= 1e-13
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    def test_second_value_is_the_exact_start(self, meshes, operator):
+        geometric, _ = meshes
+        phi = make_oscillator_solution(OSCILLATOR_KAPPA)
+        w1 = float(phi.evaluate(0, geometric.points[1]))
+        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric, operator=operator)
+        w = solve(problem, second_value=w1).w.values
+        assert w[1] == w1
+        reference = long_double_march(
+            geometric.points, OSCILLATOR_KAPPA, 1.0, -1.0, str(operator), second_value=w1
+        )
+        assert _relative_error(w, reference) <= 1e-13
 
     def test_uniform_recurrence_reduces_to_classic_form(self):
         mesh = build_uniform(0, 1, 41)
@@ -179,6 +250,13 @@ class TestProblemValidation:
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
             IvpProblem(kappa=1.0, mesh=build_uniform(0, 1, 2))
+
+    def test_rejects_non_finite_initial_data(self, meshes):
+        geometric, _ = meshes
+        with pytest.raises(ValueError, match="finite"):
+            IvpProblem(kappa=1.0, mesh=geometric, initial_value=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            IvpProblem(kappa=1.0, mesh=geometric, initial_slope=float("inf"))
 
     def test_rejects_unsupported_operator(self, meshes):
         geometric, _ = meshes
