@@ -15,7 +15,7 @@ import click
 
 from . import analysis, ivp, presets
 from .diffops import SecondDiffSpec, WindowError
-from .mesh import FLOAT_FORMAT, write_mesh_csv
+from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
 from .metrics import classify
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
 
@@ -177,12 +177,8 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
     except _ERRORS as exc:
         raise click.ClickException(str(exc)) from exc
     out = _out_dir(ctx)
-    lines = ["h_max,sgei"]
-    lines.extend(
-        f"{format(h, FLOAT_FORMAT)},{format(e, FLOAT_FORMAT)}" for h, e in estimate.sample_points
-    )
-    lines.append(f"# slope={format(estimate.slope, FLOAT_FORMAT)}")
-    (out / "order.csv").write_text("\n".join(lines) + "\n")
+    slope = f"# slope={estimate.slope:{FLOAT_FORMAT}}"
+    _write_columns(out / "order.csv", "h_max,sgei", tuple(zip(*estimate.sample_points)), footer=(slope,))
     summary = {
         "schema_version": 1,
         "operator": str(op),

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,6 +38,9 @@ UNIFORMITY_RTOL = 1e-12
 
 # 17 significant digits round-trip any IEEE double exactly.
 FLOAT_FORMAT = ".17g"
+
+# Rows per write of ``_write_columns``; a block of text stays under 0.5 MB.
+_BLOCK_ROWS = 4096
 
 
 class MeshError(ValueError):
@@ -100,10 +104,12 @@ class Mesh:
         return float(self.points[-1])
 
     def is_uniform(self) -> bool:
-        """True when the relative spread of the steps is below tolerance."""
+        """True when the steps differ by at most UNIFORMITY_RTOL of the largest step
+        plus four ulps of the largest |t|, the rounding the points put into any step."""
         h = self.steps
         hmax = float(h.max())
-        return (hmax - float(h.min())) / hmax <= UNIFORMITY_RTOL
+        slack = UNIFORMITY_RTOL * hmax + 4 * math.ulp(max(abs(self.a), abs(self.b)))
+        return hmax - float(h.min()) <= slack
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mesh):
@@ -212,18 +218,32 @@ def smoothness_ratios(mesh: Mesh) -> np.ndarray:
     return h[1:] / h[:-1]
 
 
-def write_mesh_csv(mesh: Mesh, target: str | Path | io.TextIOBase) -> None:
-    """Write ``k,t,h`` rows; the last row leaves h empty."""
+def _write_columns(target: str | Path | io.TextIOBase, header: str, columns: Sequence[np.ndarray],
+                   *, first_index: int | None = None, footer: Sequence[str] = ()) -> None:
+    """Write ``header``, one CSV row per entry of the float ``columns``, then ``footer``.
+
+    Every float is written with ``FLOAT_FORMAT``.  With ``first_index`` each
+    row starts with its index, counting up from it.  Rows are formatted and
+    written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
+    """
     if isinstance(target, (str, Path)):
         with open(target, "w", newline="") as fh:
-            write_mesh_csv(mesh, fh)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["k", "t", "h"])
-    h = mesh.steps
-    for k, t in enumerate(mesh.points):
-        last = k == mesh.n_points - 1
-        writer.writerow([k, format(t, FLOAT_FORMAT), "" if last else format(h[k], FLOAT_FORMAT)])
+            return _write_columns(fh, header, columns, first_index=first_index, footer=footer)
+    row = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
+    if first_index is not None:  # float64 holds every index exactly up to 2**53
+        columns = (np.arange(first_index, first_index + len(columns[0]), dtype=np.float64), *columns)
+        row = "%d," + row
+    target.write(header + "\n")
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[lo : lo + _BLOCK_ROWS] for c in columns])
+        target.write(row * len(block) % tuple(block.ravel().tolist()))
+    target.writelines(line + "\n" for line in footer)
+
+
+def write_mesh_csv(mesh: Mesh, target: str | Path | io.TextIOBase) -> None:
+    """Write ``k,t,h`` rows; the last row leaves h empty."""
+    last = f"{mesh.n_points - 1},{mesh.b:{FLOAT_FORMAT}},"
+    _write_columns(target, "k,t,h", (mesh.points[:-1], mesh.steps), first_index=0, footer=(last,))
 
 
 def read_mesh_csv(source: str | Path | io.TextIOBase) -> Mesh:

@@ -29,6 +29,10 @@ class SpecError(ValueError):
     """Raised for malformed compact spec strings; includes the bad token."""
 
 
+# Most points a mesh spec may ask for, counted after refinement (80 MB).
+MAX_SPEC_POINTS = 10**7
+
+
 _TERM_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?"
     r"(?P<pi>pi(?:\^(?P<exp>\d+))?)?\s*$"
@@ -106,7 +110,7 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
     kind = kind.strip()
     arg_offset = len(kind) + 1
 
-    def numbers(raw: str, expected: int) -> list[float]:
+    def numbers(raw: str, expected: int, pos: int = arg_offset) -> list[float]:
         parts = raw.split(",")
         if len(parts) != expected:
             raise SpecError(
@@ -114,7 +118,6 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
                 f"in {text!r}"
             )
         out = []
-        pos = arg_offset
         for p in parts:
             out.append(parse_number(p, text, pos))
             pos += len(p) + 1
@@ -123,40 +126,32 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
     try:
         if kind == "uniform":
             a, b, n = numbers(rest, 3)
-            built = meshmod.build_uniform(a, b, _as_int(n, "n_points", text))
+            n_points = _as_int(n, "n_points", text)
+            build, args = meshmod.build_uniform, (a, b, n_points)
         elif kind == "geometric":
             t0, h0, r, m = numbers(rest, 4)
-            built = meshmod.build_geometric(t0, h0, r, _as_int(m, "m", text))
+            m = _as_int(m, "m", text)
+            n_points = m + 2
+            build, args = meshmod.build_geometric, (t0, h0, r, m)
         elif kind == "equiarc":
             curve_raw, rem = _split_equiarc(rest, text)
-            vals = []
-            pos = arg_offset + len(curve_raw) + 1
-            for p in rem.split(","):
-                vals.append(parse_number(p, text, pos))
-                pos += len(p) + 1
-            a, b, n = vals
-            built = meshmod.build_equiarclength(
-                parse_function_spec(curve_raw),
-                a,
-                b,
-                _as_int(n, "n_points", text),
-                quad_resolution=default_quad_resolution,
-            )
+            a, b, n = numbers(rem, 3, arg_offset + len(curve_raw) + 1)
+            n_points = _as_int(n, "n_points", text)
+            build = meshmod.build_equiarclength
+            args = (parse_function_spec(curve_raw), a, b, n_points, default_quad_resolution)
         else:
             raise SpecError(
                 f"unknown mesh kind {kind!r} in {text!r} (column 1); "
                 "known: uniform, geometric, equiarc"
             )
+        beta = parse_number(suffix, text, len(body) + len("+insert:")) if suffix else None
+        total = n_points if beta is None else 2 * n_points - 1
+        if total > MAX_SPEC_POINTS:
+            raise SpecError(f"mesh spec {text!r} asks for {total} points; the limit is {MAX_SPEC_POINTS}")
+        built = build(*args)
+        return built if beta is None else meshmod.refine_insert(built, beta)
     except meshmod.MeshError as exc:
         raise SpecError(f"invalid mesh spec {text!r}: {exc}") from exc
-
-    if suffix:
-        beta = parse_number(suffix, text, len(body) + len("+insert:"))
-        try:
-            built = meshmod.refine_insert(built, beta)
-        except meshmod.MeshError as exc:
-            raise SpecError(f"invalid mesh spec {text!r}: {exc}") from exc
-    return built
 
 
 def _split_equiarc(rest: str, context: str) -> tuple[str, str]:
@@ -169,7 +164,7 @@ def _split_equiarc(rest: str, context: str) -> tuple[str, str]:
 
 
 def _as_int(value: float, name: str, context: str) -> int:
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise SpecError(f"{name} must be an integer in {context!r}, got {value!r}")
     return int(value)
 

@@ -25,6 +25,7 @@ from .mesh import (
     smoothness_ratios,
     write_mesh_csv,
     FLOAT_FORMAT,
+    _write_columns,
 )
 from .metrics import SldSeries, classify, scaled_local_difference
 
@@ -102,33 +103,28 @@ class ExperimentPreset:
     run: Callable[[Path], dict]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), FLOAT_FORMAT)
+def _write_series_csv(series: SldSeries, target: Path, header: str, columns: tuple) -> None:
+    """Write ``k,t,<columns>,sld`` rows of ``series`` plus its summary line."""
+    summary = f"# sgei={series.sgei:{FLOAT_FORMAT}},argmax_t={series.argmax_t:{FLOAT_FORMAT}}"
+    _write_columns(target, header, (series.t, *columns, series.sld),
+                   first_index=series.first_index, footer=(summary,))
 
 
 def write_grid_csv(grid: GridFunction, target: Path) -> None:
     """Write ``k,t,value`` rows for one grid function."""
-    lines = ["k,t,value"]
-    for k, t, v in zip(grid.indices, grid.t, grid.values):
-        lines.append(f"{k},{_fmt(t)},{_fmt(v)}")
-    target.write_text("\n".join(lines) + "\n")
+    _write_columns(target, "k,t,value", (grid.t, grid.values), first_index=grid.first_index)
 
 
 def write_sld_csv(series: SldSeries, target: Path) -> None:
     """Write ``k,t,reference,approx,sld`` rows plus the summary line."""
-    lines = ["k,t,reference,approx,sld"]
-    for k, t, f, g, s in zip(series.indices, series.t, series.reference, series.approx, series.sld):
-        lines.append(f"{k},{_fmt(t)},{_fmt(f)},{_fmt(g)},{_fmt(s)}")
-    lines.append(f"# sgei={_fmt(series.sgei)},argmax_t={_fmt(series.argmax_t)}")
-    target.write_text("\n".join(lines) + "\n")
+    _write_series_csv(series, target, "k,t,reference,approx,sld", (series.reference, series.approx))
 
 
 def _derivative_comparison(
-    op: Operator, f: AnalyticFunction, mesh: Mesh
+    op: Operator, f: AnalyticFunction, mesh: Mesh, order: int
 ) -> tuple[GridFunction, SldSeries]:
     approx = diffops.apply_operator(op, sample(f, 0, mesh))
-    reference = sample(f, diffops.derivative_order(op), mesh)
-    return approx, scaled_local_difference(reference, approx)
+    return approx, scaled_local_difference(sample(f, order, mesh), approx)
 
 
 def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
@@ -145,7 +141,7 @@ def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
         ("uniform", section5_uniform_mesh()),
         ("nonuniform", section5_nonuniform_mesh(beta)),
     ):
-        approx, series = _derivative_comparison(op, f, mesh)
+        approx, series = _derivative_comparison(op, f, mesh, diffops.derivative_order(op))
         write_grid_csv(approx, out_dir / f"{name}_{variant}_grid.csv")
         write_sld_csv(series, out_dir / f"{name}_{variant}_sld.csv")
         summary[f"sgei_{variant}"] = series.sgei
@@ -155,14 +151,8 @@ def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
 
 
 def write_oscillator_csv(solution: ivp.IvpSolution, target: Path) -> None:
-    series = solution.sld
-    lines = ["k,t,w,exact,sld"]
-    for k, t, w, e, s in zip(
-        series.indices, series.t, solution.w.values, solution.exact.values, series.sld
-    ):
-        lines.append(f"{k},{_fmt(t)},{_fmt(w)},{_fmt(e)},{_fmt(s)}")
-    lines.append(f"# sgei={_fmt(series.sgei)},argmax_t={_fmt(series.argmax_t)}")
-    target.write_text("\n".join(lines) + "\n")
+    columns = (solution.w.values, solution.exact.values)
+    _write_series_csv(solution.sld, target, "k,t,w,exact,sld", columns)
 
 
 def _run_oscillator_preset(out_dir: Path) -> dict:
@@ -194,9 +184,7 @@ def _run_mesh_profile_preset(beta: float, out_dir: Path) -> dict:
     for variant, mesh in meshes.items():
         write_mesh_csv(mesh, out_dir / f"fig5_1_{variant}_mesh.csv")
         ratios = smoothness_ratios(mesh)
-        lines = ["k,ratio"]
-        lines.extend(f"{k},{_fmt(r)}" for k, r in enumerate(ratios))
-        (out_dir / f"fig5_1_{variant}_ratios.csv").write_text("\n".join(lines) + "\n")
+        _write_columns(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), first_index=0)
         summary[f"steps_{variant}"] = [float(h) for h in mesh.steps]
         summary[f"ratios_{variant}"] = [float(r) for r in ratios]
     return summary
@@ -234,9 +222,7 @@ def run_custom(
     When ``out_dir`` is given, the grid and sld CSV files are written there.
     """
     order = diffops.derivative_order(op) if derivative_order is None else derivative_order
-    approx = diffops.apply_operator(op, sample(f, 0, mesh))
-    reference = sample(f, order, mesh)
-    series = scaled_local_difference(reference, approx)
+    approx, series = _derivative_comparison(op, f, mesh, order)
     summary = {
         "schema_version": 1,
         "operator": str(op),

@@ -41,6 +41,25 @@ def jittered_family(seed: int, n_steps_list=(44, 88, 176, 352, 704), jitter: flo
     return family
 
 
+def reference_columns_csv(header: str, columns, first_index: int | None = None,
+                          footer=()) -> str:
+    """CSV text of ``columns`` rendered one cell at a time.
+
+    This is the per-row loop the streaming column writer replaced, kept as
+    its oracle: an index is ``str(int(k))`` and every float is
+    ``format(float(x), ".17g")``; cells are joined with "," and lines with
+    newlines.
+    """
+    lines = [header]
+    for i, row in enumerate(zip(*columns)):
+        cells = [format(float(x), ".17g") for x in row]
+        if first_index is not None:
+            cells.insert(0, str(int(first_index + i)))
+        lines.append(",".join(cells))
+    lines.extend(footer)
+    return "".join(line + "\n" for line in lines)
+
+
 def random_polynomial(rng: np.random.Generator, degree: int = 3):
     coefs = rng.uniform(-2.0, 2.0, degree + 1)
     return make_polynomial(coefs)

@@ -170,6 +170,19 @@ class TestFirstDiffErrorBound:
             assert bound <= reference_bound * 1.011
             assert abs(out.value_at(int(k)) - exact.value_at(int(k))) <= bound
 
+    def test_central_bound_far_from_the_origin_uses_third_derivative(self):
+        # Steps on [1e6, 1e6+1] differ by one ulp of 1e6; that rounding must
+        # not switch the mesh to the nonuniform bound.
+        f = make_sinusoid(-1.0, 4 * math.pi)
+        m = build_uniform(1e6, 1e6 + 1, 1000)
+        exact = sample(f, 1, m)
+        out = first_difference(C, sample(f, 0, m))
+        reference_bound = ((1 / 999) ** 2 / 3) * (4 * math.pi) ** 3
+        for k in out.indices:
+            bound = first_diff_error_bound(C, f, m, int(k))
+            assert bound <= reference_bound * 1.011
+            assert abs(out.value_at(int(k)) - exact.value_at(int(k))) <= bound
+
     def test_central_bound_nonuniform_uses_second_derivative(self):
         rng = np.random.default_rng(23)
         f = make_sinusoid(-1.0, 4 * math.pi)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nufd import (
@@ -19,8 +19,9 @@ from nufd import (
     smoothness_ratios,
     write_mesh_csv,
 )
+from nufd.mesh import _BLOCK_ROWS, _write_columns
 
-from helpers import EPS, random_mesh
+from helpers import EPS, random_mesh, reference_columns_csv
 
 
 class TestBuildUniform:
@@ -199,6 +200,14 @@ class TestMeshValidation:
         assert Mesh(np.array([0.0, 1.0, 2.0 + 5e-13])).is_uniform()
         assert not Mesh(np.array([0.0, 1.0, 2.0 + 5e-12])).is_uniform()
 
+    @pytest.mark.parametrize("a,b,n", [(1e6, 1e6 + 1, 1000), (-0.7, 1.1, 10**6)])
+    def test_rounding_of_the_points_is_not_nonuniformity(self, a, b, n):
+        # Step spreads of 1.16e-10 (one ulp of 1e6) and 2.2e-16 (one ulp of 1).
+        assert build_uniform(a, b, n).is_uniform()
+
+    def test_far_from_the_origin_a_real_spread_still_counts(self):
+        assert not Mesh(np.array([1e6, 1e6 + 1, 1e6 + 2 + 1e-6])).is_uniform()
+
     def test_equality_and_hash(self):
         a = build_uniform(0, 1, 5)
         b = build_uniform(0, 1, 5)
@@ -240,3 +249,52 @@ class TestMeshCsv:
     def test_rejects_malformed_header(self):
         with pytest.raises(MeshError):
             read_mesh_csv(io.StringIO("x,y\n0,0\n"))
+
+    def test_stream_and_path_give_the_same_bytes(self, tmp_path):
+        m = random_mesh(np.random.default_rng(5), 2 * _BLOCK_ROWS + 3, start=-0.3)
+        buf = io.StringIO()
+        write_mesh_csv(m, buf)
+        write_mesh_csv(m, tmp_path / "mesh.csv")
+        assert (tmp_path / "mesh.csv").read_bytes() == buf.getvalue().encode()
+        last = f"{m.n_points - 1},{format(m.b, '.17g')},"
+        want = reference_columns_csv("k,t,h", (m.points[:-1], m.steps), first_index=0, footer=[last])
+        assert buf.getvalue().split("\n") == want.split("\n")
+
+
+# Signed zero, the smallest subnormal, the largest finite and the smallest
+# normal double.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                2.2250738585072014e-308, -2.2250738585072014e-308]
+_SEAM_ROWS = (1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3)
+_LINE_TEXT = st.text(alphabet="%#=,.-+0123456789eghkst ", max_size=12)
+
+
+class TestWriteColumns:
+    @given(
+        rows=st.sampled_from(_SEAM_ROWS),
+        n_columns=st.integers(1, 4),
+        first_index=st.none() | st.integers(0, 2**53 - 2 * _BLOCK_ROWS - 3),
+        drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
+        header=_LINE_TEXT,
+        footer=st.lists(_LINE_TEXT, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=_BLOCK_ROWS + 1, n_columns=2, first_index=2**53 - 2 * _BLOCK_ROWS - 3,
+             drawn=[1.0], header="k,a,b", footer=["# x=%d"], seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_cell_oracle(self, rows, n_columns, first_index, drawn, header, footer, seed):
+        rng = np.random.default_rng(seed)
+        # Uniform bit patterns cover every exponent; the few non-finite ones become 0.
+        bits = rng.integers(0, 2**64, size=(n_columns, rows), dtype=np.uint64)
+        columns = np.nan_to_num(bits.view(np.float64), nan=0.0, posinf=0.0, neginf=0.0)
+        special = np.array(drawn + _EDGE_FLOATS)
+        for j in range(n_columns):
+            for r in {0, _BLOCK_ROWS - 1, _BLOCK_ROWS, rows - 1}:
+                if r < rows:
+                    columns[j, r] = special[(r + j) % special.size]
+            columns[j, rng.integers(0, rows, special.size)] = rng.permutation(special)
+        buf = io.StringIO()
+        _write_columns(buf, header, list(columns), first_index=first_index, footer=footer)
+        # Line lists give the same verdict as the strings and a short failure report.
+        want = reference_columns_csv(header, columns, first_index, footer)
+        assert buf.getvalue().split("\n") == want.split("\n")

@@ -106,6 +106,41 @@ class TestParseMeshSpec:
             parse_mesh_spec(bad)
 
 
+class TestMeshSizeCap:
+    """Specs beyond MAX_SPEC_POINTS = 10**7 points fail before any allocation."""
+
+    @pytest.fixture(autouse=True)
+    def builders_must_not_run(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("allocation reached")
+
+        for name in ("build_uniform", "build_geometric", "refine_insert"):
+            monkeypatch.setattr(f"nufd.mesh.{name}", reached)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "uniform:0,1,1e10",
+            "uniform:0,1,10000001",
+            "geometric:0,1e-9,1,1e7",
+            "uniform:0,1,5000001+insert:0.5",
+            "geometric:0,1e-9,1,4999999+insert:0.5",
+            "uniform:0,1,1e400",
+        ],
+    )
+    def test_rejected_before_allocation(self, spec):
+        with pytest.raises(SpecError, match="limit is 10000000|must be an integer"):
+            parse_mesh_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["uniform:0,1,10000000", "geometric:0,1e-9,1,9999998", "uniform:0,1,5000000+insert:0.5"],
+    )
+    def test_the_limit_itself_is_accepted(self, spec):
+        with pytest.raises(AssertionError, match="allocation reached"):
+            parse_mesh_spec(spec)
+
+
 class TestParseOperator:
     def test_first_differences(self):
         assert parse_operator("d+") is FirstDiffKind.FORWARD
