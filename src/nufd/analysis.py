@@ -49,11 +49,6 @@ __all__ = [
 
 CONSISTENCY_TOL = 1e-12
 
-# Samples per bracket when estimating a derivative supremum, and the safety
-# factor applied on top; plenty for the smooth test functions in scope.
-_SUP_SAMPLES = 1001
-_SUP_SAFETY = 1.01
-
 _F = FirstDiffKind.FORWARD
 _B = FirstDiffKind.BACKWARD
 _C = FirstDiffKind.CENTRAL
@@ -248,11 +243,6 @@ def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
     return leading
 
 
-def _sup_abs_derivative(f: AnalyticFunction, order: int, lo: float, hi: float) -> float:
-    ts = np.linspace(lo, hi, _SUP_SAMPLES)
-    return float(np.max(np.abs(f.evaluate(order, ts)))) * _SUP_SAFETY
-
-
 def first_diff_error_bound(
     kind: FirstDiffKind, f: AnalyticFunction, mesh: Mesh, k: int
 ) -> float:
@@ -261,7 +251,7 @@ def first_diff_error_bound(
     Forward and backward differences are bounded through f'' on the step
     they straddle; the central difference is bounded through f'' on both
     neighbouring steps, except on uniform meshes where the sharper f'''
-    form applies.
+    form applies.  Every supremum is exact, from ``f.sup_abs``.
     """
     pts = mesh.points
     h = mesh.steps
@@ -269,18 +259,18 @@ def first_diff_error_bound(
     if kind is FirstDiffKind.FORWARD:
         if not 0 <= k <= npts - 2:
             raise ValueError(f"index {k} invalid for a forward difference")
-        return (h[k] / 2) * _sup_abs_derivative(f, 2, pts[k], pts[k + 1])
+        return (h[k] / 2) * f.sup_abs(2, pts[k], pts[k + 1])
     if kind is FirstDiffKind.BACKWARD:
         if not 1 <= k <= npts - 1:
             raise ValueError(f"index {k} invalid for a backward difference")
-        return (h[k - 1] / 2) * _sup_abs_derivative(f, 2, pts[k - 1], pts[k])
+        return (h[k - 1] / 2) * f.sup_abs(2, pts[k - 1], pts[k])
     if kind is FirstDiffKind.CENTRAL:
         if not 1 <= k <= npts - 2:
             raise ValueError(f"index {k} invalid for a central difference")
         if mesh.is_uniform():
-            return (h[k] ** 2 / 3) * _sup_abs_derivative(f, 3, pts[k - 1], pts[k + 1])
-        sup_fwd = _sup_abs_derivative(f, 2, pts[k], pts[k + 1])
-        sup_bwd = _sup_abs_derivative(f, 2, pts[k - 1], pts[k])
+            return (h[k] ** 2 / 3) * f.sup_abs(3, pts[k - 1], pts[k + 1])
+        sup_fwd = f.sup_abs(2, pts[k], pts[k + 1])
+        sup_bwd = f.sup_abs(2, pts[k - 1], pts[k])
         return (h[k] ** 2 * sup_fwd + h[k - 1] ** 2 * sup_bwd) / (2 * (h[k] + h[k - 1]))
     raise TypeError(f"unknown first-difference kind {kind!r}")
 
@@ -330,7 +320,7 @@ def expansion_prediction(
         p = 5
     t_lo = float(mesh.points[k + offsets[0]])
     t_hi = float(mesh.points[k + offsets[-1]])
-    sup = _sup_abs_derivative(f, p, t_lo, t_hi)
+    sup = f.sup_abs(p, t_lo, t_hi)
     deltas = mesh.points[k + offsets] - tk
     bound = float(np.sum(np.abs(weights) * np.abs(deltas) ** p)) / math.factorial(p)
     return predicted, bound * sup

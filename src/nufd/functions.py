@@ -7,6 +7,7 @@ exact n-th derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,21 +36,58 @@ class AnalyticFunction:
     """A scalar function bundled with its exact derivatives.
 
     ``evaluator(order, t)`` must accept scalar or ndarray ``t`` and be
-    deterministic.  Orders 0..5 are supported.
+    deterministic.  ``supremum(order, lo, hi)`` must return the exact
+    maximum of |f^(order)| over [lo, hi] from the function's closed form.
+    Orders 0..5 are supported.
     """
 
     label: str
     evaluator: Callable[[int, np.ndarray], np.ndarray] = field(repr=False)
+    supremum: Callable[[int, float, float], float] = field(repr=False)
 
     def evaluate(self, order: int, t):
-        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"derivative order must be within 0..{MAX_DERIVATIVE_ORDER}, got {order}"
-            )
+        _check_order(order)
         return self.evaluator(order, t)
+
+    def sup_abs(self, order: int, lo: float, hi: float) -> float:
+        """max of |f^(order)(t)| over lo <= t <= hi, exact up to rounding."""
+        _check_order(order)
+        lo, hi = float(lo), float(hi)
+        if not lo <= hi:
+            raise ValueError(f"interval must satisfy lo <= hi, got lo={lo!r}, hi={hi!r}")
+        return self.supremum(order, lo, hi)
 
     def __call__(self, t):
         return self.evaluator(0, t)
+
+
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(
+            f"derivative order must be within 0..{MAX_DERIVATIVE_ORDER}, got {order}"
+        )
+
+
+def _sinusoid_supremum(amplitude: float, frequency: float, phase: float):
+    """Exact sup of |A w**n sin(w*t + phi + n*pi/2)| over an interval.
+
+    The peak |A| |w|**n is reached where the argument crosses a crest
+    pi/2 + j*pi; with no crest inside, |sin| is monotone between the
+    endpoints, so the larger endpoint value is the maximum.
+    """
+
+    def supremum(order: int, lo: float, hi: float) -> float:
+        peak = abs(amplitude) * abs(frequency) ** order
+        ends = (
+            frequency * lo + phase + order * math.pi / 2,
+            frequency * hi + phase + order * math.pi / 2,
+        )
+        first, last = min(ends), max(ends)
+        if math.ceil((first - math.pi / 2) / math.pi) <= math.floor((last - math.pi / 2) / math.pi):
+            return peak
+        return peak * max(abs(math.sin(first)), abs(math.sin(last)))
+
+    return supremum
 
 
 def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> AnalyticFunction:
@@ -63,7 +101,34 @@ def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> Ana
     return AnalyticFunction(
         label=f"sinusoid(amplitude={amplitude:g},frequency={frequency:g},phase={phase:g})",
         evaluator=evaluator,
+        supremum=_sinusoid_supremum(float(amplitude), float(frequency), float(phase)),
     )
+
+
+def _sign_change_roots(tables: list[np.ndarray], j: int, lo: float, hi: float) -> list[float]:
+    """Points of [lo, hi] where the polynomial ``tables[j]`` changes sign.
+
+    ``tables[j + 1]`` is its derivative, whose sign changes cut [lo, hi]
+    into monotone pieces holding at most one root each.  Recursing down
+    the tables therefore finds every root, bisecting to the last float,
+    and never forms a root outside [lo, hi], where it could overflow.
+    """
+    table = tables[j]
+    if not table.any():
+        return []
+    knots = [lo, *_sign_change_roots(tables, j + 1, lo, hi), hi]
+    positive = [np.polynomial.polynomial.polyval(t, table) > 0 for t in knots]
+    roots = []
+    for a, b, pos_a, pos_b in zip(knots, knots[1:], positive, positive[1:]):
+        if pos_a == pos_b:
+            continue
+        while a < (mid := 0.5 * a + 0.5 * b) < b:
+            if (np.polynomial.polynomial.polyval(mid, table) > 0) == pos_a:
+                a = mid
+            else:
+                b = mid
+        roots.append(mid)
+    return roots
 
 
 def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
@@ -76,17 +141,22 @@ def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
             f"polynomial degree must be at most {MAX_DERIVATIVE_ORDER}, "
             f"got degree {coefs.size - 1}"
         )
-    # derivative coefficient tables, ascending powers
+    # derivative coefficient tables, ascending powers; the last one is zero
     tables = [coefs]
-    for _ in range(MAX_DERIVATIVE_ORDER):
+    for _ in range(MAX_DERIVATIVE_ORDER + 1):
         tables.append(np.polynomial.polynomial.polyder(tables[-1]))
 
     def evaluator(order: int, t):
         t = np.asarray(t, dtype=np.float64)
         return np.polynomial.polynomial.polyval(t, tables[order])
 
+    def supremum(order: int, lo: float, hi: float) -> float:
+        # |p^(order)| peaks at an endpoint or where p^(order+1) changes sign
+        ts = np.array([lo, hi, *_sign_change_roots(tables, order + 1, lo, hi)])
+        return float(np.max(np.abs(np.polynomial.polynomial.polyval(ts, tables[order]))))
+
     pretty = ",".join(format(c, "g") for c in coefs)
-    return AnalyticFunction(label=f"poly({pretty})", evaluator=evaluator)
+    return AnalyticFunction(label=f"poly({pretty})", evaluator=evaluator, supremum=supremum)
 
 
 def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float = 0.0,
@@ -97,6 +167,10 @@ def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float 
     omega = np.sqrt(kappa)
     c_cos = value_at_t0
     c_sin = slope_at_t0 / omega
+    # c_sin*sin(x) + c_cos*cos(x) = R*sin(x + atan2(c_cos, c_sin)), a sinusoid in t.
+    supremum = _sinusoid_supremum(
+        math.hypot(c_sin, c_cos), float(omega), math.atan2(c_cos, c_sin) - float(omega) * t0
+    )
 
     def evaluator(order: int, t):
         arg = omega * (np.asarray(t, dtype=np.float64) - t0) + order * np.pi / 2
@@ -105,6 +179,7 @@ def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float 
     return AnalyticFunction(
         label=label or f"oscillator(kappa={kappa:g},value={value_at_t0:g},slope={slope_at_t0:g})",
         evaluator=evaluator,
+        supremum=supremum,
     )
 
 

@@ -9,6 +9,7 @@ returns a fresh, validated instance.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -106,12 +107,20 @@ class Mesh:
     def is_uniform(self) -> bool:
         """True when the steps differ by at most UNIFORMITY_RTOL of the largest step
         plus four ulps of the largest |t|, the rounding the points put into any step."""
+        return self._uniform
+
+    @functools.cached_property
+    def _uniform(self) -> bool:
+        # Scanned on first use, not at construction, so meshes that are never
+        # asked pay nothing; the points are immutable, so the verdict holds.
         h = self.steps
         hmax = float(h.max())
         slack = UNIFORMITY_RTOL * hmax + 4 * math.ulp(max(abs(self.a), abs(self.b)))
         return hmax - float(h.min()) <= slack
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Mesh):
             return NotImplemented
         return self.points.shape == other.points.shape and bool(

@@ -104,7 +104,7 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
     Forms: ``uniform:a,b,n``, ``geometric:t0,h0,r,m``,
     ``equiarc:curve,a,b,n`` and any of them followed by ``+insert:beta``.
     """
-    body, _, suffix = text.partition("+insert:")
+    body, insert, suffix = text.partition("+insert:")
     body = body.strip()
     kind, _, rest = body.partition(":")
     kind = kind.strip()
@@ -144,7 +144,7 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
                 f"unknown mesh kind {kind!r} in {text!r} (column 1); "
                 "known: uniform, geometric, equiarc"
             )
-        beta = parse_number(suffix, text, len(body) + len("+insert:")) if suffix else None
+        beta = parse_number(suffix, text, len(body) + len(insert)) if insert else None
         total = n_points if beta is None else 2 * n_points - 1
         if total > MAX_SPEC_POINTS:
             raise SpecError(f"mesh spec {text!r} asks for {total} points; the limit is {MAX_SPEC_POINTS}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nufd import (
     ALL_SECOND_SPECS,
@@ -183,6 +185,15 @@ class TestFirstDiffErrorBound:
             assert bound <= reference_bound * 1.011
             assert abs(out.value_at(int(k)) - exact.value_at(int(k))) <= bound
 
+    def test_forward_bound_holds_where_every_sample_of_f2_is_zero(self):
+        # f'' = -(1000 pi)^2 sin(1000 pi t) vanishes at every multiple of
+        # 0.001, so a sampled supremum over [0, 1] reads 0; the error is 1000 pi.
+        f = make_sinusoid(1.0, 1000 * math.pi)
+        m = Mesh(np.array([0.0, 1.0, 2.0]))
+        actual = abs(first_difference(F, sample(f, 0, m)).value_at(0) - f.evaluate(1, 0.0))
+        assert actual == pytest.approx(3141.59, rel=1e-5)
+        assert first_diff_error_bound(F, f, m, 0) >= actual
+
     def test_central_bound_nonuniform_uses_second_derivative(self):
         rng = np.random.default_rng(23)
         f = make_sinusoid(-1.0, 4 * math.pi)
@@ -248,6 +259,19 @@ class TestExpansionPrediction:
         assert remainder == 0.0
         assert predicted == pytest.approx(6 * m.points[k], rel=1e-10, abs=1e-12)
         assert direct == pytest.approx(predicted, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+        st.tuples(*[st.floats(0.05, 2.0)] * 4),
+        st.floats(-3.0, 3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_remainder_is_exactly_zero_up_to_cubics(self, coefs, steps, shift):
+        # every pair's remainder is an f or f' term, and both vanish
+        f = make_polynomial(coefs)
+        m = Mesh(mesh_from_quadruple(steps).points + shift)
+        for spec in ALL_SECOND_SPECS:
+            assert expansion_prediction(spec, f, m, 2)[1] == 0.0
 
     def test_remainder_bounds_the_gap_on_the_small_mesh(self):
         f = make_sinusoid(-1.0, 4 * math.pi)

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nufd import (
     Mesh,
@@ -11,7 +14,9 @@ from nufd import (
     make_sinusoid,
     sample,
 )
-from nufd.functions import FACTORIES
+from nufd.functions import FACTORIES, MAX_DERIVATIVE_ORDER, _oscillator
+
+from helpers import EPS
 
 
 class TestSinusoid:
@@ -148,3 +153,179 @@ class TestFactories:
             FACTORIES["sinusoid"](wavelength=2.0)
         with pytest.raises(ValueError):
             FACTORIES["poly"](q3=1.0)
+
+
+def _mp_root(fn, a, b):
+    """Root of ``fn`` inside (a, b), where fn(a) and fn(b) differ in sign."""
+    # the solver's stopping test is absolute, so it sees fn at unit scale
+    scale = max(abs(fn(a)), abs(fn(b)))
+    return mp.findroot(lambda t: fn(t) / scale, (a, b), solver="anderson", verify=False)
+
+
+def _mp_sup_abs(g, gp, lo, hi, cells, critical=()):
+    """max |g| over [lo, hi] at 40 digits, independent of the library.
+
+    Candidates are a grid of ``cells`` equal cells, every sign change of
+    ``gp`` between grid points refined to a root, and the ``critical``
+    points that lie inside.  Without ``critical`` the caller picks
+    ``cells`` so that no cell holds two zeros of ``gp``.
+    """
+    with mp.workdps(40):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        grid = [lo + (hi - lo) * i / cells for i in range(cells + 1)]
+        slopes = [gp(t) for t in grid]
+        candidates = grid + [t for t in critical if lo <= t <= hi]
+        for i in range(cells):
+            if slopes[i] * slopes[i + 1] < 0:
+                candidates.append(_mp_root(gp, grid[i], grid[i + 1]))
+        return float(max(abs(g(t)) for t in candidates))
+
+
+def _mp_derivative(table):
+    return [i * c for i, c in enumerate(table)][1:] or [mp.mpf(0)]
+
+
+def _mp_sign_change_roots(table, lo, hi):
+    """Every root in [lo, hi] where the polynomial ``table`` changes sign.
+
+    The roots of its derivative cut [lo, hi] into monotone pieces, each
+    holding at most one root, so recursion over the degree finds them all.
+    """
+    slope = _mp_derivative(table)
+    if not any(slope):
+        return []
+    knots = [lo, *_mp_sign_change_roots(slope, lo, hi), hi]
+
+    def p(t):
+        return mp.polyval(table[::-1], t)
+
+    return [_mp_root(p, a, b) for a, b in zip(knots, knots[1:]) if p(a) * p(b) < 0]
+
+
+def _sinusoid_oracle(amplitude, frequency, phase, order, lo, hi):
+    a, w, phi = mp.mpf(amplitude), mp.mpf(frequency), mp.mpf(phase)
+
+    def derivative(n):
+        return lambda t: a * w**n * mp.sin(w * t + phi + n * mp.pi / 2)
+
+    # zeros of a sinusoid's derivative are pi/|w| apart
+    cells = 4 + 2 * math.ceil(abs(frequency) * (hi - lo) / math.pi)
+    return _mp_sup_abs(derivative(order), derivative(order + 1), lo, hi, cells)
+
+
+def _oscillator_oracle(kappa, value, slope, t0, order, lo, hi):
+    # the library's own float omega and c_sin, so both sides bound one function
+    omega = float(np.sqrt(kappa))
+    w, c_sin, c_cos, t0 = mp.mpf(omega), mp.mpf(slope / omega), mp.mpf(value), mp.mpf(t0)
+
+    def derivative(n):
+        def g(t):
+            x = w * (t - t0) + n * mp.pi / 2
+            return w**n * (c_sin * mp.sin(x) + c_cos * mp.cos(x))
+
+        return g
+
+    cells = 4 + 2 * math.ceil(omega * (hi - lo) / math.pi)
+    return _mp_sup_abs(derivative(order), derivative(order + 1), lo, hi, cells)
+
+
+def _polynomial_oracle(coefs, order, lo, hi):
+    with mp.workdps(40):
+        table = [mp.mpf(c) for c in coefs]
+        for _ in range(order):
+            table = _mp_derivative(table)
+        slope = _mp_derivative(table)
+        critical = _mp_sign_change_roots(slope, mp.mpf(lo), mp.mpf(hi))
+    return _mp_sup_abs(
+        lambda t: mp.polyval(table[::-1], t), lambda t: mp.polyval(slope[::-1], t),
+        lo, hi, 16, critical,
+    )
+
+
+_ORDERS = st.integers(0, MAX_DERIVATIVE_ORDER)
+_STARTS = st.floats(-3.0, 3.0)
+_WIDTHS = st.one_of(st.just(0.0), st.floats(1e-6, 2.0))
+_UNDERFLOW = 4 * math.ulp(0.0)
+
+
+class TestSupAbs:
+    """``sup_abs`` against a 40-digit grid-and-critical-point oracle.
+
+    The tolerance is the rounding of the closed form in doubles: a few
+    ulps of the argument of sin, or of a Horner sum, times the peak, plus
+    a few subnormals for results that underflow.
+    """
+
+    @given(
+        st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0),
+        _ORDERS, _STARTS, _WIDTHS,
+    )
+    @example(1.0, -7.0, 0.3, 2, 0.1, 0.05)  # negative frequency, no crest inside
+    @example(-2.0, -7.0, 0.3, 3, 0.1, 1.0)  # negative frequency, crests inside
+    @example(1.0, 1000 * math.pi, 0.0, 2, 0.0, 0.01)  # zero at every multiple of 0.001
+    @settings(max_examples=150, deadline=None)
+    def test_sinusoid(self, amplitude, frequency, phase, order, lo, width):
+        hi = lo + width
+        got = make_sinusoid(amplitude, frequency, phase).sup_abs(order, lo, hi)
+        want = _sinusoid_oracle(amplitude, frequency, phase, order, lo, hi)
+        peak = abs(amplitude) * abs(frequency) ** order
+        reach = abs(frequency) * max(abs(lo), abs(hi)) + abs(phase) + order
+        assert got == pytest.approx(want, rel=0, abs=64 * EPS * peak * (1 + reach) + _UNDERFLOW)
+
+    @given(
+        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
+        st.floats(-2.0, 2.0), _ORDERS, _STARTS, _WIDTHS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_oscillator(self, kappa, value, slope, t0, order, lo, width):
+        hi = lo + width
+        got = _oscillator(kappa, value, slope, t0).sup_abs(order, lo, hi)
+        want = _oscillator_oracle(kappa, value, slope, t0, order, lo, hi)
+        omega = math.sqrt(kappa)
+        peak = math.hypot(value, slope / omega) * omega**order
+        reach = omega * (max(abs(lo), abs(hi)) + abs(t0)) + order + 4
+        # the amplitude R is itself rounded, by up to a subnormal when tiny
+        floor = _UNDERFLOW * (1 + omega**order)
+        assert got == pytest.approx(want, rel=0, abs=64 * EPS * peak * (1 + reach) + floor)
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)), min_size=1, max_size=6),
+        _ORDERS, _STARTS, _WIDTHS,
+    )
+    @example([1.0, -3.0, 0.0, 1.0], 0, -1.5, 3.0)  # extrema at -1 and 1 inside
+    @example([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1, -0.5, 1.0)  # p'' = 20 t**3, a triple root
+    @example([0.0, 0.0, 1.0, 5e-324], 0, 0.0, 1.0)  # p' has a root near -1e323
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial(self, coefs, order, lo, width):
+        hi = lo + width
+        got = make_polynomial(coefs).sup_abs(order, lo, hi)
+        want = _polynomial_oracle(coefs, order, lo, hi)
+        reach = max(abs(lo), abs(hi), 1.0)
+        scale = sum(math.perm(i, order) * abs(c) * reach ** (i - order)
+                    for i, c in enumerate(coefs) if i >= order)
+        assert got == pytest.approx(want, rel=0, abs=64 * EPS * scale + _UNDERFLOW)
+
+    @given(
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+        st.floats(-3.0, 3.0), _WIDTHS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_orders_above_the_degree_are_exactly_zero(self, coefs, lo, width):
+        f = make_polynomial(coefs)
+        for order in range(len(coefs), MAX_DERIVATIVE_ORDER + 1):
+            assert f.sup_abs(order, lo, lo + width) == 0.0
+
+    def test_crest_inside_gives_the_peak_and_none_the_larger_end(self):
+        f = make_sinusoid(2.0, -3.0, 0.0)
+        # f'' = 18 sin(3 t): a crest at t = pi/6 lies in [0.1, 0.6], none in [0.7, 0.9]
+        assert f.sup_abs(2, 0.1, 0.6) == 18.0
+        assert f.sup_abs(2, 0.7, 0.9) == pytest.approx(18 * math.sin(3 * 0.7), rel=1e-15)
+
+    def test_rejects_bad_order_and_reversed_interval(self):
+        f = make_sinusoid(1.0, 1.0)
+        with pytest.raises(ValueError):
+            f.sup_abs(6, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            f.sup_abs(-1, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            f.sup_abs(0, 1.0, 0.0)

@@ -215,6 +215,22 @@ class TestMeshValidation:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    def test_equality_with_itself_and_with_other_types(self):
+        a = build_uniform(0, 1, 5)
+        assert a == a and not a != a
+        assert Mesh(np.array([0.0, 0.5, 1.0])) != Mesh(np.array([0.0, 0.25, 1.0]))
+        assert a.__eq__("uniform:0,1,5") is NotImplemented
+        assert a != "uniform:0,1,5" and a != 5
+
+    def test_uniformity_verdicts_stay_with_their_mesh(self):
+        uniform = build_uniform(0, 1, 9)
+        nonuniform = Mesh(np.array([0.0, 1.0, 2.0 + 5e-12]))
+        for _ in range(2):
+            assert uniform.is_uniform()
+            assert not nonuniform.is_uniform()
+        assert build_uniform(0, 1, 9).is_uniform()
+        assert not Mesh(np.array([0.0, 1.0, 2.0 + 5e-12])).is_uniform()
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=60),
         st.floats(min_value=-5, max_value=5),

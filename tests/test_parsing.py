@@ -98,6 +98,7 @@ class TestParseMeshSpec:
             "geometric:0,0.1,2",
             "spline:0,1,5",
             "uniform:0,1,5+insert:1.2",
+            "uniform:0,1,5+insert:",
             "equiarc:poly:c1=1,0,1",
         ],
     )
