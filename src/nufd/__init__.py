@@ -19,7 +19,6 @@ from .diffops import (
     SecondDiffSpec,
     WindowError,
     apply_operator,
-    closed_second_difference,
     d2_corrected,
     first_difference,
     second_difference,
@@ -76,7 +75,6 @@ __all__ = [
     "build_geometric",
     "build_uniform",
     "classify",
-    "closed_second_difference",
     "consistency_coefficient",
     "consistency_report_at",
     "d2_corrected",

@@ -3,10 +3,11 @@
 For every ordered pair of first differences the composed second difference
 expands as
 
-    leading * f''(t_k) + fppp * f'''(t_k) + (explicit f'''' term) + remainder,
+    leading * f''(t_k) + fppp * f'''(t_k) + ... + remainder,
 
-where the coefficients are closed forms in the four local steps
-h_{k-2}, h_{k-1}, h_k, h_{k+1}.  The pair approximates f'' consistently at
+where the coefficient of f^(p)(t_k) is the stencil's Taylor moment
+sum_j w_j (t_{k+j} - t_k)**p / p!, with the weights w_j from
+:func:`nufd.diffops.stencil`.  The pair approximates f'' consistently at
 t_k exactly when the leading coefficient is 1.  Remainders involve unknown
 mean-value points, so they are only ever reported as interval brackets and
 sup-based bounds.
@@ -22,11 +23,11 @@ import numpy as np
 
 from .diffops import (
     FirstDiffKind,
-    GridFunction,
     Operator,
     SecondDiffSpec,
     apply_operator,
-    second_difference,
+    stencil,
+    stencil_offsets,
 )
 from .functions import AnalyticFunction, sample
 from .mesh import Mesh
@@ -38,24 +39,14 @@ __all__ = [
     "OrderEstimate",
     "consistency_coefficient",
     "consistency_report_at",
-    "local_steps",
     "geometric_consistency",
     "first_diff_error_bound",
     "expansion_prediction",
     "empirical_order",
-    "stencil_offsets",
     "stencil_weights",
 ]
 
 CONSISTENCY_TOL = 1e-12
-
-_F = FirstDiffKind.FORWARD
-_B = FirstDiffKind.BACKWARD
-_C = FirstDiffKind.CENTRAL
-
-# Index offsets (relative to the evaluation point) that each first
-# difference reads; compositions read the Minkowski sum of their ranges.
-_FIRST_OFFSETS = {_F: (0, 1), _B: (-1, 0), _C: (-1, 1)}
 
 
 @dataclass(frozen=True)
@@ -79,110 +70,42 @@ class OrderEstimate:
     sample_points: tuple[tuple[float, float], ...]
 
 
-def stencil_offsets(spec: SecondDiffSpec) -> tuple[int, int]:
-    """Smallest and largest index offset the composed stencil touches."""
-    olo, ohi = _FIRST_OFFSETS[spec.outer]
-    ilo, ihi = _FIRST_OFFSETS[spec.inner]
-    return olo + ilo, ohi + ihi
+def _local_points(spec: SecondDiffSpec, mesh: Mesh, k: int) -> list[float]:
+    """Mesh points t_{k+lo} .. t_{k+hi} under the pair's stencil at index k."""
+    lo, hi = stencil_offsets(spec)
+    if k + lo < 0 or k + hi > mesh.n_points - 1:
+        raise ValueError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
+    return mesh.points[k + lo : k + hi + 1].tolist()
 
 
-def _step(steps: Sequence[float | None], which: int, spec: SecondDiffSpec) -> float:
-    """Fetch h_{k-2+which} from the quadruple, insisting it is usable."""
-    names = ("h_{k-2}", "h_{k-1}", "h_k", "h_{k+1}")
-    value = steps[which]
-    if value is None:
-        raise ValueError(f"operator pair '{spec}' needs step {names[which]}, which is missing")
-    value = float(value)
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"step {names[which]} must be positive and finite, got {value!r}")
-    return value
+def _terms(spec: SecondDiffSpec, x: list[float]) -> list[tuple[float, float]]:
+    """(w_j, t_{k+j} - t_k) for every stencil point, in offset order."""
+    lo, _ = stencil_offsets(spec)
+    tk = x[-lo]
+    return [(w, x[j - lo] - tk) for j, w in stencil(spec, x)]
 
 
-def _coefficients(
-    spec: SecondDiffSpec, steps: Sequence[float | None]
-) -> tuple[float, float, float | None]:
-    """(leading, fppp, explicit f'''' coefficient or None) for one pair."""
-    if len(steps) != 4:
-        raise ValueError(
-            "steps must be the quadruple (h_{k-2}, h_{k-1}, h_k, h_{k+1}); "
-            "entries the pair does not use may be None"
-        )
-    key = (spec.outer, spec.inner)
-    if key == (_F, _F):
-        hk, hk1 = _step(steps, 2, spec), _step(steps, 3, spec)
-        return (hk1 + hk) / (2 * hk), (hk1 + hk) * (hk1 + 2 * hk) / (6 * hk), None
-    if key == (_B, _B):
-        hm2, hm1 = _step(steps, 0, spec), _step(steps, 1, spec)
-        return (hm1 + hm2) / (2 * hm1), -(hm1 + hm2) * (2 * hm1 + hm2) / (6 * hm1), None
-    if key == (_C, _C):
-        hm2, hm1 = _step(steps, 0, spec), _step(steps, 1, spec)
-        hk, hk1 = _step(steps, 2, spec), _step(steps, 3, spec)
-        return (
-            (hk1 + hk + hm1 + hm2) / (2 * (hk + hm1)),
-            ((hk1 + hk) ** 2 - (hm1 + hm2) ** 2) / (6 * (hk + hm1)),
-            ((hk + hk1) ** 3 + (hm1 + hm2) ** 3) / (24 * (hk + hm1)),
-        )
-    if key == (_F, _B):
-        hm1, hk = _step(steps, 1, spec), _step(steps, 2, spec)
-        return (
-            (hk + hm1) / (2 * hk),
-            (hk**2 - hm1**2) / (6 * hk),
-            (hk**3 + hm1**3) / (24 * hk),
-        )
-    if key == (_B, _F):
-        hm1, hk = _step(steps, 1, spec), _step(steps, 2, spec)
-        return (
-            (hk + hm1) / (2 * hm1),
-            (hk**2 - hm1**2) / (6 * hm1),
-            (hk**3 + hm1**3) / (24 * hm1),
-        )
-    if key == (_F, _C):
-        hm1, hk, hk1 = _step(steps, 1, spec), _step(steps, 2, spec), _step(steps, 3, spec)
-        return (
-            (hk1 + hm1) / (2 * hk),
-            ((hk1 + hk) ** 2 - hk**2 + hk * hm1 - hm1**2) / (6 * hk),
-            None,
-        )
-    if key == (_C, _F):
-        hm1, hk, hk1 = _step(steps, 1, spec), _step(steps, 2, spec), _step(steps, 3, spec)
-        return (
-            (hk1 + 2 * hk + hm1) / (2 * (hk + hm1)),
-            ((hk + hk1) ** 3 - hk**3 - hk1 * hm1**2) / (6 * hk1 * (hk + hm1)),
-            None,
-        )
-    if key == (_B, _C):
-        hm2, hm1, hk = _step(steps, 0, spec), _step(steps, 1, spec), _step(steps, 2, spec)
-        return (
-            (hk + hm2) / (2 * hm1),
-            (hk**3 + hm1**3 - (hk + hm1) * (hm1 + hm2) ** 2) / (6 * (hk + hm1) * hm1),
-            None,
-        )
-    if key == (_C, _B):
-        hm2, hm1, hk = _step(steps, 0, spec), _step(steps, 1, spec), _step(steps, 2, spec)
-        return (
-            (hk + 2 * hm1 + hm2) / (2 * (hk + hm1)),
-            (hm2 * hk**2 + hm1**3 - (hm1 + hm2) ** 3) / (6 * hm2 * (hk + hm1)),
-            None,
-        )
-    raise TypeError(f"unknown operator pair {spec!r}")
+def _moment(terms: list[tuple[float, float]], p: int) -> float:
+    """sum_j w_j (t_{k+j} - t_k)**p / p!, the coefficient of f^(p)(t_k)."""
+    return sum(w * d**p for w, d in terms) / math.factorial(p)
 
 
-def _bracket(
-    spec: SecondDiffSpec, steps: Sequence[float | None], center: float
-) -> tuple[float, float]:
-    """Interval containing every mean-value point of the pair's remainder."""
-    lo_off, hi_off = stencil_offsets(spec)
-    back = 0.0
-    if lo_off <= -1:
-        back += _step(steps, 1, spec)
-    if lo_off <= -2:
-        back += _step(steps, 0, spec)
-    fwd = 0.0
-    if hi_off >= 1:
-        fwd += _step(steps, 2, spec)
-    if hi_off >= 2:
-        fwd += _step(steps, 3, spec)
-    return (center - back, center + fwd)
+def _report(
+    spec: SecondDiffSpec, x: list[float], index: int, bracket: tuple[float, float]
+) -> ConsistencyReport:
+    terms = _terms(spec, x)
+    leading = _moment(terms, 2)
+    return ConsistencyReport(
+        spec=spec,
+        index=index,
+        leading_coefficient=leading,
+        fppp_coefficient=_moment(terms, 3),
+        consistent=abs(leading - 1.0) <= CONSISTENCY_TOL,
+        remainder_bracket=bracket,
+    )
+
+
+_STEP_NAMES = ("h_{k-2}", "h_{k-1}", "h_k", "h_{k+1}")
 
 
 def consistency_coefficient(
@@ -192,43 +115,42 @@ def consistency_coefficient(
     index: int = 2,
     center: float = 0.0,
 ) -> ConsistencyReport:
-    """Closed-form expansion coefficients from the four local step sizes.
+    """Expansion coefficients from the four local step sizes.
 
     ``steps`` is (h_{k-2}, h_{k-1}, h_k, h_{k+1}); only the entries the
     pair actually uses must be present.  ``index`` and ``center`` locate
     the report when the steps come from a real mesh.
     """
-    leading, fppp, _ = _coefficients(spec, steps)
-    return ConsistencyReport(
-        spec=spec,
-        index=index,
-        leading_coefficient=leading,
-        fppp_coefficient=fppp,
-        consistent=abs(leading - 1.0) <= CONSISTENCY_TOL,
-        remainder_bracket=_bracket(spec, steps, center),
-    )
+    if len(steps) != 4:
+        raise ValueError(
+            "steps must be the quadruple (h_{k-2}, h_{k-1}, h_k, h_{k+1}); "
+            "entries the pair does not use may be None"
+        )
 
+    def step(which: int) -> float:
+        value = steps[which]
+        if value is None:
+            raise ValueError(f"operator pair '{spec}' needs step {_STEP_NAMES[which]}, which is missing")
+        value = float(value)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"step {_STEP_NAMES[which]} must be positive and finite, got {value!r}")
+        return value
 
-def local_steps(mesh: Mesh, k: int) -> tuple[float | None, float | None, float | None, float | None]:
-    """(h_{k-2}, h_{k-1}, h_k, h_{k+1}) around index k, None where absent."""
-    h = mesh.steps
-
-    def get(i: int) -> float | None:
-        return float(h[i]) if 0 <= i < h.size else None
-
-    return (get(k - 2), get(k - 1), get(k), get(k + 1))
+    # the points under the stencil relative to t_k = 0: back through h_{k-1},
+    # h_{k-2} and forward through h_k, h_{k+1} as far as the pair reaches
+    lo, hi = stencil_offsets(spec)
+    x = [0.0]
+    for which in range(1, 1 + lo, -1):
+        x.insert(0, x[0] - step(which))
+    for which in range(2, 2 + hi):
+        x.append(x[-1] + step(which))
+    return _report(spec, x, index, (center + x[0], center + x[-1]))
 
 
 def consistency_report_at(spec: SecondDiffSpec, mesh: Mesh, k: int) -> ConsistencyReport:
     """Consistency report for one pair at mesh index k."""
-    lo_off, hi_off = stencil_offsets(spec)
-    if k + lo_off < 0 or k + hi_off > mesh.n_points - 1:
-        raise ValueError(
-            f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points"
-        )
-    return consistency_coefficient(
-        spec, local_steps(mesh, k), index=k, center=float(mesh.points[k])
-    )
+    x = _local_points(spec, mesh, k)
+    return _report(spec, x, k, (x[0], x[-1]))
 
 
 def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
@@ -238,9 +160,7 @@ def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    steps = (1.0, alpha, alpha**2, alpha**3)
-    leading, _, _ = _coefficients(spec, steps)
-    return leading
+    return consistency_coefficient(spec, (1.0, alpha, alpha**2, alpha**3)).leading_coefficient
 
 
 def first_diff_error_bound(
@@ -276,25 +196,13 @@ def first_diff_error_bound(
 
 
 def stencil_weights(spec: SecondDiffSpec, mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact pointwise weights of the composed stencil around index k.
+    """Pointwise weights of the pair's stencil around index k.
 
-    Returns (offsets, weights) with the composition applied to basis grid
-    functions, so the weights reflect the operator as actually evaluated.
+    Returns (offsets, weights) in offset order, from :func:`stencil` on the
+    mesh points under the stencil.
     """
-    lo_off, hi_off = stencil_offsets(spec)
-    if k + lo_off < 0 or k + hi_off > mesh.n_points - 1:
-        raise ValueError(
-            f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points"
-        )
-    span = hi_off - lo_off + 1
-    offsets = np.arange(lo_off, hi_off + 1)
-    weights = np.empty(span)
-    for i in range(span):
-        basis = np.zeros(span)
-        basis[i] = 1.0
-        out = second_difference(spec, GridFunction(mesh, k + lo_off, basis))
-        weights[i] = out.value_at(k)
-    return offsets, weights
+    offsets, weights = zip(*stencil(spec, _local_points(spec, mesh, k)))
+    return np.array(offsets), np.array(weights)
 
 
 def expansion_prediction(
@@ -302,28 +210,22 @@ def expansion_prediction(
 ) -> tuple[float, float]:
     """Predicted stencil value at t_k and a bound on the remainder.
 
-    The prediction sums the closed-form f'' and f''' terms (plus the
-    explicit f'''' term carried by the three symmetric-window pairs).  The
+    The prediction sums M_q f^(q)(t_k) for q = 2 .. p-1, where M_q is the
+    stencil's Taylor moment sum_j w_j (t_{k+j} - t_k)**q / q!.  The
     remainder collects one mean-value term per stencil point, so it is
     bounded by sum_j |w_j| |t_{k+j} - t_k|**p / p! times the supremum of
-    the order-p derivative over the stencil footprint, with p = 5 when the
-    f'''' term is explicit and p = 4 otherwise.
+    the order-p derivative over the stencil footprint.  p = 5 on the
+    symmetric windows (c c, d+ d-, d- d+), whose odd moments vanish on
+    uniform meshes, and p = 4 otherwise.
     """
-    offsets, weights = stencil_weights(spec, mesh, k)
-    steps = local_steps(mesh, k)
-    leading, fppp, f4_coeff = _coefficients(spec, steps)
-    tk = float(mesh.points[k])
-    predicted = leading * float(f.evaluate(2, tk)) + fppp * float(f.evaluate(3, tk))
-    p = 4
-    if f4_coeff is not None:
-        predicted += f4_coeff * float(f.evaluate(4, tk))
-        p = 5
-    t_lo = float(mesh.points[k + offsets[0]])
-    t_hi = float(mesh.points[k + offsets[-1]])
-    sup = f.sup_abs(p, t_lo, t_hi)
-    deltas = mesh.points[k + offsets] - tk
-    bound = float(np.sum(np.abs(weights) * np.abs(deltas) ** p)) / math.factorial(p)
-    return predicted, bound * sup
+    lo, hi = stencil_offsets(spec)
+    x = _local_points(spec, mesh, k)
+    terms = _terms(spec, x)
+    tk = x[-lo]
+    p = 5 if lo == -hi else 4
+    predicted = sum(_moment(terms, q) * float(f.evaluate(q, tk)) for q in range(2, p))
+    bound = sum(abs(w) * abs(d) ** p for w, d in terms) / math.factorial(p)
+    return predicted, bound * f.sup_abs(p, x[0], x[-1])
 
 
 def empirical_order(

@@ -14,12 +14,22 @@ from pathlib import Path
 import click
 
 from . import analysis, ivp, presets
-from .diffops import SecondDiffSpec, WindowError
+from .diffops import SecondDiffSpec, WindowError, derivative_order
 from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
 from .metrics import classify
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
 
 _ERRORS = (SpecError, WindowError, ValueError)
+
+
+class _Group(click.Group):
+    """Reports any of ``_ERRORS`` raised by a command as a clean CLI error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except _ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
 
 
 def _write_json(document: dict, target: Path) -> None:
@@ -34,7 +44,7 @@ def _echo_summary(document: dict, fmt: str, keys: list[str] | None = None) -> No
     click.echo(",".join(f"{k}={document[k]}" for k in keys if k in document))
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option(
     "--out",
     type=click.Path(file_okay=False, path_type=Path),
@@ -79,10 +89,7 @@ def mesh(ctx: click.Context, mesh_spec: str) -> None:
     MESH_SPEC is ``uniform:a,b,n``, ``geometric:t0,h0,r,m`` or
     ``equiarc:curve,a,b,n``, optionally followed by ``+insert:beta``.
     """
-    try:
-        built = parse_mesh_spec(mesh_spec)
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    built = parse_mesh_spec(mesh_spec)
     out = _out_dir(ctx)
     write_mesh_csv(built, out / "mesh.csv")
     summary = {
@@ -106,13 +113,10 @@ def mesh(ctx: click.Context, mesh_spec: str) -> None:
 @click.pass_context
 def diff(ctx, mesh_spec: str, function_spec: str, operator_spec: str, order: int | None) -> None:
     """Evaluate an operator on a sampled function and compare to the exact derivative."""
-    try:
-        built = parse_mesh_spec(mesh_spec)
-        f = parse_function_spec(function_spec)
-        op = parse_operator(operator_spec)
-        summary = presets.run_custom(built, f, op, order, _out_dir(ctx))
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    built = parse_mesh_spec(mesh_spec)
+    f = parse_function_spec(function_spec)
+    op = parse_operator(operator_spec)
+    summary = presets.run_custom(built, f, op, order, _out_dir(ctx))
     _write_json(summary, _out_dir(ctx) / "diff_summary.json")
     _echo_summary(summary, ctx.obj["fmt"], ["sgei", "argmax_t", "classification"])
 
@@ -125,35 +129,32 @@ def diff(ctx, mesh_spec: str, function_spec: str, operator_spec: str, order: int
 @click.pass_context
 def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | None, alpha_spec: str | None) -> None:
     """Report the leading expansion coefficients of an operator pair."""
-    try:
-        op = parse_operator(operator_spec)
-        if not isinstance(op, SecondDiffSpec):
-            raise SpecError(f"consistency reports need an ordered pair, got {operator_spec!r}")
-        if alpha_spec is not None:
-            alpha = parse_number(alpha_spec)
-            coefficient = analysis.geometric_consistency(op, alpha)
-            summary = {
-                "schema_version": 1,
-                "spec": str(op),
-                "alpha": alpha,
-                "leading_coefficient": coefficient,
-                "consistent": abs(coefficient - 1.0) <= analysis.CONSISTENCY_TOL,
-            }
-        else:
-            if mesh_spec is None or index is None:
-                raise SpecError("provide either --alpha or both --mesh and --k")
-            report = analysis.consistency_report_at(op, parse_mesh_spec(mesh_spec), index)
-            summary = {
-                "schema_version": 1,
-                "spec": str(report.spec),
-                "k": report.index,
-                "leading_coefficient": report.leading_coefficient,
-                "fppp_coefficient": report.fppp_coefficient,
-                "consistent": report.consistent,
-                "bracket": list(report.remainder_bracket),
-            }
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    op = parse_operator(operator_spec)
+    if not isinstance(op, SecondDiffSpec):
+        raise SpecError(f"consistency reports need an ordered pair, got {operator_spec!r}")
+    if alpha_spec is not None:
+        alpha = parse_number(alpha_spec)
+        coefficient = analysis.geometric_consistency(op, alpha)
+        summary = {
+            "schema_version": 1,
+            "spec": str(op),
+            "alpha": alpha,
+            "leading_coefficient": coefficient,
+            "consistent": abs(coefficient - 1.0) <= analysis.CONSISTENCY_TOL,
+        }
+    else:
+        if mesh_spec is None or index is None:
+            raise SpecError("provide either --alpha or both --mesh and --k")
+        report = analysis.consistency_report_at(op, parse_mesh_spec(mesh_spec), index)
+        summary = {
+            "schema_version": 1,
+            "spec": str(report.spec),
+            "k": report.index,
+            "leading_coefficient": report.leading_coefficient,
+            "fppp_coefficient": report.fppp_coefficient,
+            "consistent": report.consistent,
+            "bracket": list(report.remainder_bracket),
+        }
     _write_json(summary, _out_dir(ctx) / "consistency.json")
     _echo_summary(summary, ctx.obj["fmt"])
 
@@ -167,15 +168,10 @@ def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | Non
 @click.pass_context
 def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ...], target_order: int | None) -> None:
     """Empirical order of accuracy from a family of shrinking meshes."""
-    from .diffops import derivative_order as op_order
-
-    try:
-        op = parse_operator(operator_spec)
-        f = parse_function_spec(function_spec)
-        family = [parse_mesh_spec(s) for s in mesh_specs]
-        estimate = analysis.empirical_order(op, f, family, target_order or op_order(op))
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    op = parse_operator(operator_spec)
+    f = parse_function_spec(function_spec)
+    family = [parse_mesh_spec(s) for s in mesh_specs]
+    estimate = analysis.empirical_order(op, f, family, target_order or derivative_order(op))
     out = _out_dir(ctx)
     slope = f"# slope={estimate.slope:{FLOAT_FORMAT}}"
     _write_columns(out / "order.csv", "h_max,sgei", tuple(zip(*estimate.sample_points)), footer=(slope,))
@@ -202,19 +198,16 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
 def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
                initial_value: float, initial_slope: float) -> None:
     """March the oscillator difference equation and compare to the exact motion."""
-    try:
-        kappa = parse_number(kappa_spec)
-        op = parse_operator(operator_spec)
-        problem = ivp.IvpProblem(
-            kappa=kappa,
-            mesh=parse_mesh_spec(mesh_spec),
-            operator=op,
-            initial_value=initial_value,
-            initial_slope=initial_slope,
-        )
-        solution = ivp.solve(problem)
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    kappa = parse_number(kappa_spec)
+    op = parse_operator(operator_spec)
+    problem = ivp.IvpProblem(
+        kappa=kappa,
+        mesh=parse_mesh_spec(mesh_spec),
+        operator=op,
+        initial_value=initial_value,
+        initial_slope=initial_slope,
+    )
+    solution = ivp.solve(problem)
     out = _out_dir(ctx)
     summary = {
         "schema_version": 1,
@@ -242,11 +235,8 @@ def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
 @click.pass_context
 def preset(ctx, name: str) -> None:
     """Run one canned experiment and write its CSV outputs plus a JSON summary."""
-    try:
-        resolved = presets.resolve_preset(name, beta=ctx.obj["beta"])
-        summary = presets.run_preset(resolved, _out_dir(ctx))
-    except _ERRORS as exc:
-        raise click.ClickException(str(exc)) from exc
+    resolved = presets.resolve_preset(name, beta=ctx.obj["beta"])
+    summary = presets.run_preset(resolved, _out_dir(ctx))
     _write_json(summary, _out_dir(ctx) / f"{name}_summary.json")
     echo_keys = [k for k, v in summary.items() if not isinstance(v, list)]
     _echo_summary(summary, ctx.obj["fmt"], echo_keys)

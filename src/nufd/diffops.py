@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +26,8 @@ __all__ = [
     "Operator",
     "first_difference",
     "second_difference",
-    "closed_second_difference",
+    "stencil_offsets",
+    "stencil",
     "d2_corrected",
     "apply_operator",
     "derivative_order",
@@ -153,45 +154,57 @@ def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
 def second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
     """Apply ``spec.inner`` then ``spec.outer``.
 
-    Composition is the primitive here; the closed three-point stencils are
-    provided separately by :func:`closed_second_difference`.
+    Composition is the primitive here; :func:`stencil` gives the same
+    operator as pointwise weights.
     """
     return first_difference(spec.outer, first_difference(spec.inner, u))
 
 
-_CLOSED_FORMS = {
-    (FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD),
-    (FirstDiffKind.BACKWARD, FirstDiffKind.FORWARD),
-    (FirstDiffKind.FORWARD, FirstDiffKind.FORWARD),
+# Index offsets (b, a), relative to the evaluation point, of the two points
+# each first difference reads: (u_a - u_b) / (t_a - t_b).  Compositions read
+# the Minkowski sum of their ranges.
+_FIRST_OFFSETS = {
+    FirstDiffKind.FORWARD: (0, 1),
+    FirstDiffKind.BACKWARD: (-1, 0),
+    FirstDiffKind.CENTRAL: (-1, 1),
 }
 
 
-def closed_second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
-    """Expanded single-pass stencils for the pairs that have a compact form.
+def stencil_offsets(op: FirstDiffKind | SecondDiffSpec) -> tuple[int, int]:
+    """Smallest and largest index offset the operator's stencil touches."""
+    if isinstance(op, FirstDiffKind):
+        return _FIRST_OFFSETS[op]
+    olo, ohi = _FIRST_OFFSETS[op.outer]
+    ilo, ihi = _FIRST_OFFSETS[op.inner]
+    return olo + ilo, ohi + ihi
 
-    Supported: d+ d-, d- d+ (three neighbouring points) and d+ d+ (the
-    point and its two successors).  Other pairs are evaluated by
-    composition only.
+
+def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int, Any], ...]:
+    """Pointwise weights ((offset, weight), ...) of a first difference or a pair.
+
+    ``x`` holds the mesh points t_{k+lo} .. t_{k+hi}, with (lo, hi) from
+    ``stencil_offsets(op)``.  Its entries may be floats, giving the stencil
+    at one index k, or equal-length arrays, giving one stencil per row.  A
+    pair's weights are the products of its two first differences' weights
+    (arbitrary-grid weights as in Fornberg, Math. Comp. 51, 1988), so
+    sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
+    The pairs come in offset order, one per point the stencil touches.
     """
-    key = (spec.outer, spec.inner)
-    if key not in _CLOSED_FORMS:
-        raise ValueError(f"no closed stencil implemented for '{spec}'; use second_difference")
-    _require(u, 3, f"closed stencil '{spec}'")
-    t = u.t
-    v = u.values
-    h = t[1:] - t[:-1]
-    if key == (FirstDiffKind.FORWARD, FirstDiffKind.FORWARD):
-        # value at the left point of each 3-point cluster
-        hk, hk1 = h[:-1], h[1:]
-        num = hk * v[2:] - (hk1 + hk) * v[1:-1] + hk1 * v[:-2]
-        return GridFunction(u.mesh, u.first_index, num / (hk1 * hk**2))
-    hkm1, hk = h[:-1], h[1:]
-    num = hkm1 * v[2:] - (hk + hkm1) * v[1:-1] + hk * v[:-2]
-    if key == (FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD):
-        den = hk**2 * hkm1
-    else:
-        den = hk * hkm1**2
-    return GridFunction(u.mesh, u.first_index + 1, num / den)
+    lo, _ = stencil_offsets(op)
+
+    def first(kind: FirstDiffKind, at: int) -> tuple[tuple[int, Any], ...]:
+        ob, oa = _FIRST_OFFSETS[kind]
+        b, a = at + ob, at + oa
+        w = 1.0 / (x[a - lo] - x[b - lo])
+        return (b, -w), (a, w)
+
+    if isinstance(op, FirstDiffKind):
+        return first(op, 0)
+    weights: dict[int, Any] = {}
+    for mid, w_outer in first(op.outer, 0):
+        for j, w_inner in first(op.inner, mid):
+            weights[j] = weights.get(j, 0.0) + w_outer * w_inner
+    return tuple(sorted(weights.items()))
 
 
 def d2_corrected(u: GridFunction) -> GridFunction:

@@ -68,13 +68,23 @@ def _check_order(order: int) -> None:
         )
 
 
-def _sinusoid_supremum(amplitude: float, frequency: float, phase: float):
+def _sinusoid_supremum(label: str, amplitude: float, frequency: float, phase: float):
     """Exact sup of |A w**n sin(w*t + phi + n*pi/2)| over an interval.
 
     The peak |A| |w|**n is reached where the argument crosses a crest
     pi/2 + j*pi; with no crest inside, |sin| is monotone between the
-    endpoints, so the larger endpoint value is the maximum.
+    endpoints, so the larger endpoint value is the maximum.  Rejects, by
+    ``label``, a sinusoid whose peak overflows at the highest order.
     """
+    try:
+        finite = math.isfinite(abs(amplitude) * abs(frequency) ** MAX_DERIVATIVE_ORDER)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{label}: |amplitude| * |frequency|**{MAX_DERIVATIVE_ORDER} is not finite, "
+            f"so its derivatives up to order {MAX_DERIVATIVE_ORDER} cannot be evaluated"
+        )
 
     def supremum(order: int, lo: float, hi: float) -> float:
         peak = abs(amplitude) * abs(frequency) ** order
@@ -92,6 +102,8 @@ def _sinusoid_supremum(amplitude: float, frequency: float, phase: float):
 
 def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> AnalyticFunction:
     """A * sin(w*t + phi); the n-th derivative is A * w**n * sin(w*t + phi + n*pi/2)."""
+    label = f"sinusoid(amplitude={amplitude:g},frequency={frequency:g},phase={phase:g})"
+    supremum = _sinusoid_supremum(label, float(amplitude), float(frequency), float(phase))
 
     def evaluator(order: int, t):
         return amplitude * frequency**order * np.sin(
@@ -99,9 +111,9 @@ def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> Ana
         )
 
     return AnalyticFunction(
-        label=f"sinusoid(amplitude={amplitude:g},frequency={frequency:g},phase={phase:g})",
+        label=label,
         evaluator=evaluator,
-        supremum=_sinusoid_supremum(float(amplitude), float(frequency), float(phase)),
+        supremum=supremum,
     )
 
 
@@ -164,12 +176,13 @@ def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float 
     """Solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
+    label = label or f"oscillator(kappa={kappa:g},value={value_at_t0:g},slope={slope_at_t0:g})"
     omega = np.sqrt(kappa)
     c_cos = value_at_t0
     c_sin = slope_at_t0 / omega
     # c_sin*sin(x) + c_cos*cos(x) = R*sin(x + atan2(c_cos, c_sin)), a sinusoid in t.
     supremum = _sinusoid_supremum(
-        math.hypot(c_sin, c_cos), float(omega), math.atan2(c_cos, c_sin) - float(omega) * t0
+        label, math.hypot(c_sin, c_cos), float(omega), math.atan2(c_cos, c_sin) - float(omega) * t0
     )
 
     def evaluator(order: int, t):
@@ -177,7 +190,7 @@ def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float 
         return omega**order * (c_sin * np.sin(arg) + c_cos * np.cos(arg))
 
     return AnalyticFunction(
-        label=label or f"oscillator(kappa={kappa:g},value={value_at_t0:g},slope={slope_at_t0:g})",
+        label=label,
         evaluator=evaluator,
         supremum=supremum,
     )

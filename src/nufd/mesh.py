@@ -64,6 +64,9 @@ class Mesh:
 
     points: np.ndarray
 
+    # numpy defers every operator to Mesh: ``mesh == array`` is one bool, not an array.
+    __array_ufunc__ = None
+
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 1:

@@ -23,7 +23,7 @@ from nufd import (
     sample,
     second_difference,
 )
-from nufd.analysis import local_steps, stencil_offsets, stencil_weights
+from nufd.analysis import stencil_offsets, stencil_weights
 
 from helpers import jittered_family, random_mesh
 
@@ -112,12 +112,6 @@ class TestConsistencyReportAt:
             consistency_report_at(SecondDiffSpec(C, C), m, 1)
         with pytest.raises(ValueError):
             consistency_report_at(SecondDiffSpec(F, F), m, 4)
-
-    def test_local_steps_boundaries(self):
-        m = build_uniform(0, 1, 4)
-        assert local_steps(m, 0)[0] is None and local_steps(m, 0)[1] is None
-        assert local_steps(m, 3)[2] is None and local_steps(m, 3)[3] is None
-        assert all(s is not None for s in local_steps(m, 2)[:3])
 
 
 class TestGeometricConsistency:
@@ -272,6 +266,22 @@ class TestExpansionPrediction:
         m = Mesh(mesh_from_quadruple(steps).points + shift)
         for spec in ALL_SECOND_SPECS:
             assert expansion_prediction(spec, f, m, 2)[1] == 0.0
+
+    def test_symmetric_windows_predict_the_fourth_derivative_term(self):
+        # c c, d+ d- and d- d+ carry the f'''' term, so a quartic leaves them no
+        # remainder; the other pairs bound that term instead
+        rng = np.random.default_rng(27)
+        f = make_polynomial([0.3, -1.0, 0.5, 2.0, -1.5])
+        for spec in ALL_SECOND_SPECS:
+            m = mesh_from_quadruple(tuple(rng.uniform(0.2, 1.0, 4)))
+            predicted, remainder = expansion_prediction(spec, f, m, 2)
+            lo, hi = stencil_offsets(spec)
+            if lo == -hi:
+                direct = second_difference(spec, sample(f, 0, m)).value_at(2)
+                assert remainder == 0.0
+                assert predicted == pytest.approx(direct, rel=1e-11, abs=1e-11)
+            else:
+                assert remainder > 0.0
 
     def test_remainder_bounds_the_gap_on_the_small_mesh(self):
         f = make_sinusoid(-1.0, 4 * math.pi)

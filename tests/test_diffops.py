@@ -15,7 +15,6 @@ from nufd import (
     WindowError,
     apply_operator,
     build_uniform,
-    closed_second_difference,
     d2_corrected,
     first_difference,
     make_polynomial,
@@ -25,7 +24,7 @@ from nufd import (
     second_difference,
     smoothness_ratios,
 )
-from nufd.diffops import derivative_order
+from nufd.diffops import derivative_order, stencil, stencil_offsets
 
 from helpers import EPS, random_mesh, stencil_scale
 
@@ -200,27 +199,23 @@ class TestSecondDifference:
             assert (out.first_index, out.last_index) == expected_span[(spec.outer, spec.inner)]
 
 
-class TestClosedStencils:
-    @pytest.mark.parametrize(
-        "spec",
-        [SecondDiffSpec(F, B), SecondDiffSpec(B, F), SecondDiffSpec(F, F)],
-        ids=str,
-    )
-    def test_closed_equals_composition(self, spec):
+class TestStencil:
+    def test_weights_equal_the_evaluated_operator(self):
+        # the array form: one stencil per output index, applied as a weighted sum
         rng = np.random.default_rng(3)
-        for _ in range(25):
-            m = random_mesh(rng, 12, lo=0.2, hi=1.8)
-            u = GridFunction(m, 0, rng.normal(size=13))
-            composed = second_difference(spec, u)
-            closed = closed_second_difference(spec, u)
-            assert closed.first_index == composed.first_index
-            scale = stencil_scale(_kinds(spec), m.points, u.values)
-            assert np.all(np.abs(closed.values - composed.values) <= 8 * EPS * scale)
-
-    def test_unsupported_pair_rejected(self):
-        u = GridFunction(build_uniform(0, 1, 6), 0, np.zeros(6))
-        with pytest.raises(ValueError):
-            closed_second_difference(SecondDiffSpec(C, C), u)
+        for op in (*FirstDiffKind, *ALL_SECOND_SPECS):
+            lo, hi = stencil_offsets(op)
+            kinds = (op.value,) if isinstance(op, FirstDiffKind) else _kinds(op)
+            for _ in range(25):
+                m = random_mesh(rng, 12, lo=0.2, hi=1.8)
+                u = GridFunction(m, 0, rng.normal(size=13))
+                evaluated = apply_operator(op, u)
+                k = evaluated.indices
+                row = stencil(op, [m.points[k + j] for j in range(lo, hi + 1)])
+                assert (row[0][0], row[-1][0]) == (lo, hi)
+                weighted = sum(w * u.values[k + j] for j, w in row)
+                scale = stencil_scale(kinds, m.points, u.values)
+                assert np.all(np.abs(weighted - evaluated.values) <= 8 * EPS * scale)
 
 
 class TestCorrectedSecondDifference:

@@ -45,6 +45,17 @@ class TestSinusoid:
         with pytest.raises(ValueError):
             f.evaluate(-1, 0.0)
 
+    def test_overflowing_fifth_derivative_is_rejected_by_name(self):
+        # 1e100**5 overflows a float, so f^(5) and its supremum cannot be formed
+        with pytest.raises(ValueError, match=r"sinusoid\(amplitude=1,frequency=1e\+100.*order 5"):
+            make_sinusoid(1.0, 1e100)
+        with pytest.raises(ValueError, match="sinusoid"):
+            make_sinusoid(1e300, 1e2)
+        with pytest.raises(ValueError, match="sinusoid"):
+            make_sinusoid(math.inf, 1.0)
+        f = make_sinusoid(1.0, 1e61)
+        assert math.isfinite(f.sup_abs(5, 0.0, 0.1))
+
 
 class TestPolynomial:
     def test_t_squared_second_derivative(self):
@@ -89,6 +100,12 @@ class TestOscillatorSolution:
             make_oscillator_solution(0.0)
         with pytest.raises(ValueError):
             make_oscillator_solution(-1.0)
+
+    def test_overflowing_fifth_derivative_is_rejected_by_name(self):
+        # sqrt(1e130)**5 = 1e325 overflows
+        with pytest.raises(ValueError, match=r"oscillator\(kappa=1e\+130\).*order 5"):
+            make_oscillator_solution(1e130)
+        assert math.isfinite(make_oscillator_solution(1e120).sup_abs(5, 0.0, 0.1))
 
 
 class TestSample:

@@ -222,6 +222,12 @@ class TestMeshValidation:
         assert a.__eq__("uniform:0,1,5") is NotImplemented
         assert a != "uniform:0,1,5" and a != 5
 
+    def test_comparison_with_an_array_is_a_plain_bool(self):
+        a = build_uniform(0, 1, 5)
+        for left, right in ((a, a.points), (a.points, a)):
+            assert (left != right) is True
+            assert (left == right) is False
+
     def test_uniformity_verdicts_stay_with_their_mesh(self):
         uniform = build_uniform(0, 1, 9)
         nonuniform = Mesh(np.array([0.0, 1.0, 2.0 + 5e-12]))
