@@ -174,6 +174,8 @@ def stencil_offsets(op: FirstDiffKind | SecondDiffSpec) -> tuple[int, int]:
     """Smallest and largest index offset the operator's stencil touches."""
     if isinstance(op, FirstDiffKind):
         return _FIRST_OFFSETS[op]
+    if not isinstance(op, SecondDiffSpec):
+        raise TypeError(f"no composed stencil for operator {op!r}")
     olo, ohi = _FIRST_OFFSETS[op.outer]
     ilo, ihi = _FIRST_OFFSETS[op.inner]
     return olo + ilo, ohi + ihi

@@ -199,23 +199,46 @@ class TestSecondDifference:
             assert (out.first_index, out.last_index) == expected_span[(spec.outer, spec.inner)]
 
 
+def _stencil_sum(op, u, kinds):
+    # the array form: one stencil per output index, applied as a weighted sum
+    evaluated = apply_operator(op, u)
+    lo, hi = stencil_offsets(op)
+    k = evaluated.indices
+    t = u.mesh.points
+    row = stencil(op, [t[k + j] for j in range(lo, hi + 1)])
+    assert (row[0][0], row[-1][0]) == (lo, hi)
+    weighted = sum(w * u.values[k + j] for j, w in row)
+    scale = stencil_scale(kinds, t, u.values)
+    return weighted, evaluated.values, scale
+
+
+class TestClosedStencils:
+    @pytest.mark.parametrize("spec", ALL_SECOND_SPECS, ids=str)
+    def test_closed_equals_composition(self, spec):
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            m = random_mesh(rng, 12, lo=0.2, hi=1.8)
+            u = GridFunction(m, 0, rng.normal(size=13))
+            closed, composed, scale = _stencil_sum(spec, u, _kinds(spec))
+            assert np.all(np.abs(closed - composed) <= 8 * EPS * scale)
+
+    def test_unsupported_pair_rejected(self):
+        # the step-averaged stencil is not a composition of two first differences
+        with pytest.raises(TypeError):
+            stencil_offsets(D2_CORRECTED)
+        with pytest.raises(TypeError):
+            stencil(D2_CORRECTED, [0.0, 0.5, 1.0])
+
+
 class TestStencil:
     def test_weights_equal_the_evaluated_operator(self):
-        # the array form: one stencil per output index, applied as a weighted sum
         rng = np.random.default_rng(3)
-        for op in (*FirstDiffKind, *ALL_SECOND_SPECS):
-            lo, hi = stencil_offsets(op)
-            kinds = (op.value,) if isinstance(op, FirstDiffKind) else _kinds(op)
+        for op in FirstDiffKind:
             for _ in range(25):
                 m = random_mesh(rng, 12, lo=0.2, hi=1.8)
                 u = GridFunction(m, 0, rng.normal(size=13))
-                evaluated = apply_operator(op, u)
-                k = evaluated.indices
-                row = stencil(op, [m.points[k + j] for j in range(lo, hi + 1)])
-                assert (row[0][0], row[-1][0]) == (lo, hi)
-                weighted = sum(w * u.values[k + j] for j, w in row)
-                scale = stencil_scale(kinds, m.points, u.values)
-                assert np.all(np.abs(weighted - evaluated.values) <= 8 * EPS * scale)
+                weighted, evaluated, scale = _stencil_sum(op, u, (op.value,))
+                assert np.all(np.abs(weighted - evaluated) <= 8 * EPS * scale)
 
 
 class TestCorrectedSecondDifference:
