@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Run a fixed set of nufd commands against one source tree and keep every output.
+#
+# Usage: scripts/cli_outputs.sh <src-dir> <out-dir>
+#
+# <src-dir> is the directory that holds the nufd package (a checkout's src/).
+# Each command writes its files into its own <out-dir>/<NN>-<name>/, together
+# with its stdout, stderr and exit code, so the outputs of two trees can be
+# compared with `diff -r`.  A failing command does not stop the script.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <src-dir> <out-dir>" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+n=0
+
+run() {
+    local dir
+    dir=$(printf '%s/%02d-%s' "$out" "$n" "$1")
+    shift
+    n=$((n + 1))
+    mkdir -p "$dir"
+    local code=0
+    PYTHONPATH="$src" python3 -m nufd.cli --out "$dir" "$@" >"$dir/stdout" 2>"$dir/stderr" || code=$?
+    echo "$code" >"$dir/exit_code"
+}
+
+study="sinusoid:amplitude=-1,frequency=4pi"
+paper_mesh="geometric:0,0.1,50/59,200"
+
+for name in ex5_1 ex5_2 ex5_3 ex5_4 ex5_5 fig5_1; do
+    run "preset-$name" preset "$name"
+    run "preset-$name-beta0.3" --beta 0.3 preset "$name"
+    run "preset-$name-json" --format json preset "$name"
+done
+
+run mesh-uniform mesh "uniform:0,1,23"
+run mesh-equiarc-insert mesh "equiarc:sinusoid:frequency=2pi,0,1,12+insert:0.7"
+
+run diff-ffwd diff --mesh "uniform:0,1,12+insert:0.5" --function "$study" --op "d+ d+"
+run diff-central-order2 diff --mesh "$paper_mesh" --function "poly:c0=1,c1=2,c2=3" --op c --order 2
+run diff-d2 --format json diff --mesh "geometric:0,0.05,1.1,30" --function "$study" --op d2
+
+run oscillator-paper oscillator --mesh "$paper_mesh"
+run oscillator-d2 oscillator --mesh "uniform:0,1,11" --operator d2
+run oscillator-data --format json oscillator --kappa 9 --mesh "uniform:0,2,41+insert:0.3" \
+    --initial-value 0.5 --initial-slope 2
+run oscillator-zero oscillator --mesh "uniform:0,1,11" --initial-value 0 --initial-slope 0
+run oscillator-diverging oscillator --kappa 1e6 --mesh "uniform:0,10,101"
+
+run consistency-alpha consistency --spec "d+ d+" --alpha 1.3
+run consistency-mesh consistency --spec "d- d+" --mesh "uniform:0,1,23+insert:0.3" --k 5
+run consistency-paper --format json consistency --spec "c c" --mesh "$paper_mesh" --k 100
+run order order --op c --function "$study" \
+    --mesh "uniform:0,1,23" --mesh "uniform:0,1,45" --mesh "uniform:0,1,89"
+
+run fail-mesh-spec mesh "uniform:0,1"
+run fail-alpha-overflow consistency --spec "d+ d+" --alpha 1e200

@@ -108,18 +108,12 @@ def _report(
 _STEP_NAMES = ("h_{k-2}", "h_{k-1}", "h_k", "h_{k+1}")
 
 
-def consistency_coefficient(
-    spec: SecondDiffSpec,
-    steps: Sequence[float | None],
-    *,
-    index: int = 2,
-    center: float = 0.0,
-) -> ConsistencyReport:
+def consistency_coefficient(spec: SecondDiffSpec, steps: Sequence[float | None]) -> ConsistencyReport:
     """Expansion coefficients from the four local step sizes.
 
     ``steps`` is (h_{k-2}, h_{k-1}, h_k, h_{k+1}); only the entries the
-    pair actually uses must be present.  ``index`` and ``center`` locate
-    the report when the steps come from a real mesh.
+    pair actually uses must be present.  The report sits at index 2 with
+    t_k = 0.
     """
     if len(steps) != 4:
         raise ValueError(
@@ -144,7 +138,7 @@ def consistency_coefficient(
         x.insert(0, x[0] - step(which))
     for which in range(2, 2 + hi):
         x.append(x[-1] + step(which))
-    return _report(spec, x, index, (center + x[0], center + x[-1]))
+    return _report(spec, x, 2, (x[0], x[-1]))
 
 
 def consistency_report_at(spec: SecondDiffSpec, mesh: Mesh, k: int) -> ConsistencyReport:
@@ -156,11 +150,16 @@ def consistency_report_at(spec: SecondDiffSpec, mesh: Mesh, k: int) -> Consisten
 def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
     """Leading coefficient on a mesh with constant step ratio ``alpha``.
 
-    Equals 1 for every pair exactly when alpha == 1.
+    Equals 1 for every pair exactly when alpha == 1.  Raises ValueError
+    unless alpha, alpha**2 and alpha**3 are all positive finite floats.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    return consistency_coefficient(spec, (1.0, alpha, alpha**2, alpha**3)).leading_coefficient
+    try:
+        steps = (1.0, alpha, alpha**2, alpha**3)
+    except OverflowError:
+        steps = (math.inf,)
+    if not all(0 < h < math.inf for h in steps):
+        raise ValueError(f"alpha, alpha**2 and alpha**3 must be positive and finite, got alpha={alpha!r}")
+    return consistency_coefficient(spec, steps).leading_coefficient
 
 
 def first_diff_error_bound(

@@ -16,7 +16,6 @@ import click
 from . import analysis, ivp, presets
 from .diffops import SecondDiffSpec, WindowError, derivative_order
 from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
-from .metrics import classify
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
 
 _ERRORS = (SpecError, WindowError, ValueError)
@@ -30,18 +29,6 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except _ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
-
-
-def _write_json(document: dict, target: Path) -> None:
-    target.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-
-
-def _echo_summary(document: dict, fmt: str, keys: list[str] | None = None) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(document, sort_keys=True, indent=2))
-        return
-    keys = keys or [k for k in document if k not in ("schema_version",)]
-    click.echo(",".join(f"{k}={document[k]}" for k in keys if k in document))
 
 
 @click.group(cls=_Group)
@@ -80,6 +67,21 @@ def _out_dir(ctx: click.Context) -> Path:
     return out
 
 
+def _emit(ctx: click.Context, filename: str, summary: dict, keys: list[str] | None = None) -> None:
+    """Write ``summary`` as JSON to ``filename`` in the output directory and echo it.
+
+    The echo is the JSON document under ``--format json``, otherwise one
+    ``key=value`` line of ``keys`` (default: every key but schema_version).
+    """
+    document = json.dumps(summary, sort_keys=True, indent=2)
+    (_out_dir(ctx) / filename).write_text(document + "\n")
+    if ctx.obj["fmt"] == "json":
+        click.echo(document)
+        return
+    keys = keys or [k for k in summary if k != "schema_version"]
+    click.echo(",".join(f"{k}={summary[k]}" for k in keys if k in summary))
+
+
 @main.command()
 @click.argument("mesh_spec")
 @click.pass_context
@@ -101,8 +103,7 @@ def mesh(ctx: click.Context, mesh_spec: str) -> None:
         "max_step": float(built.steps.max()),
         "min_step": float(built.steps.min()),
     }
-    _write_json(summary, out / "mesh_summary.json")
-    _echo_summary(summary, ctx.obj["fmt"])
+    _emit(ctx, "mesh_summary.json", summary)
 
 
 @main.command()
@@ -116,9 +117,8 @@ def diff(ctx, mesh_spec: str, function_spec: str, operator_spec: str, order: int
     built = parse_mesh_spec(mesh_spec)
     f = parse_function_spec(function_spec)
     op = parse_operator(operator_spec)
-    summary = presets.run_custom(built, f, op, order, _out_dir(ctx))
-    _write_json(summary, _out_dir(ctx) / "diff_summary.json")
-    _echo_summary(summary, ctx.obj["fmt"], ["sgei", "argmax_t", "classification"])
+    summary = presets.run_custom(built, f, op, order, out_dir=_out_dir(ctx))
+    _emit(ctx, "diff_summary.json", summary, ["sgei", "argmax_t", "classification"])
 
 
 @main.command()
@@ -155,8 +155,7 @@ def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | Non
             "consistent": report.consistent,
             "bracket": list(report.remainder_bracket),
         }
-    _write_json(summary, _out_dir(ctx) / "consistency.json")
-    _echo_summary(summary, ctx.obj["fmt"])
+    _emit(ctx, "consistency.json", summary)
 
 
 @main.command()
@@ -183,8 +182,7 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
         "intercept": estimate.intercept,
         "sample_points": [[h, e] for h, e in estimate.sample_points],
     }
-    _write_json(summary, out / "order_summary.json")
-    _echo_summary(summary, ctx.obj["fmt"], ["operator", "slope"])
+    _emit(ctx, "order_summary.json", summary, ["operator", "slope"])
 
 
 @main.command()
@@ -207,27 +205,15 @@ def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
         initial_value=initial_value,
         initial_slope=initial_slope,
     )
-    solution = ivp.solve(problem)
-    out = _out_dir(ctx)
     summary = {
         "schema_version": 1,
         "kappa": kappa,
         "operator": str(op),
         "initial_value": initial_value,
         "initial_slope": initial_slope,
+        **presets.run_oscillator(problem, _out_dir(ctx) / "oscillator.csv"),
     }
-    if solution.sld is None:
-        summary.update(sgei=None, argmax_t=None, classification=None)
-        presets.write_grid_csv(solution.w, out / "oscillator.csv")
-    else:
-        presets.write_oscillator_csv(solution, out / "oscillator.csv")
-        summary.update(
-            sgei=solution.sld.sgei,
-            argmax_t=solution.sld.argmax_t,
-            classification=classify(solution.sld.sgei),
-        )
-    _write_json(summary, out / "oscillator_summary.json")
-    _echo_summary(summary, ctx.obj["fmt"], ["sgei", "argmax_t", "classification"])
+    _emit(ctx, "oscillator_summary.json", summary, ["sgei", "argmax_t", "classification"])
 
 
 @main.command()
@@ -235,11 +221,8 @@ def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
 @click.pass_context
 def preset(ctx, name: str) -> None:
     """Run one canned experiment and write its CSV outputs plus a JSON summary."""
-    resolved = presets.resolve_preset(name, beta=ctx.obj["beta"])
-    summary = presets.run_preset(resolved, _out_dir(ctx))
-    _write_json(summary, _out_dir(ctx) / f"{name}_summary.json")
-    echo_keys = [k for k, v in summary.items() if not isinstance(v, list)]
-    _echo_summary(summary, ctx.obj["fmt"], echo_keys)
+    summary = presets.run_preset(name, _out_dir(ctx), ctx.obj["beta"])
+    _emit(ctx, f"{name}_summary.json", summary, [k for k, v in summary.items() if not isinstance(v, list)])
 
 
 if __name__ == "__main__":

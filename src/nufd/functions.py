@@ -171,12 +171,11 @@ def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
     return AnalyticFunction(label=f"poly({pretty})", evaluator=evaluator, supremum=supremum)
 
 
-def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float = 0.0,
-                label: str | None = None) -> AnalyticFunction:
+def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float = 0.0) -> AnalyticFunction:
     """Solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
-    label = label or f"oscillator(kappa={kappa:g},value={value_at_t0:g},slope={slope_at_t0:g})"
+    label = f"oscillator(kappa={kappa:g})"
     omega = np.sqrt(kappa)
     c_cos = value_at_t0
     c_sin = slope_at_t0 / omega
@@ -201,7 +200,7 @@ def make_oscillator_solution(kappa: float) -> AnalyticFunction:
 
     This is the motion with unit initial displacement and slope -1 at t = 0.
     """
-    return _oscillator(kappa, 1.0, -1.0, label=f"oscillator(kappa={kappa:g})")
+    return _oscillator(kappa, 1.0, -1.0)
 
 
 def sample(f: AnalyticFunction, order: int, mesh: Mesh) -> GridFunction:

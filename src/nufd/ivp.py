@@ -196,6 +196,8 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     if second_value is None:
         v0 = problem.initial_slope
         w1 = w0 + h[0] * v0
+    elif not math.isfinite(second_value):
+        raise ValueError(f"second_value must be finite, got {second_value!r}")
     else:
         w1 = second_value
         v0 = (w1 - w0) / h[0]
@@ -208,13 +210,7 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
         raise MarchDivergedError(index, float(mesh.points[index]), float(np.max(growth * h[1:])))
 
     numeric = GridFunction(mesh, 0, w)
-    phi = _oscillator(
-        kappa,
-        problem.initial_value,
-        problem.initial_slope,
-        t0=mesh.a,
-        label=f"oscillator(kappa={kappa:g})",
-    )
+    phi = _oscillator(kappa, problem.initial_value, problem.initial_slope, t0=mesh.a)
     exact = sample(phi, 0, mesh)
     if np.max(np.abs(exact.values)) == 0.0:
         return IvpSolution(w=numeric, exact=exact, sld=None)

@@ -98,7 +98,7 @@ def parse_function_spec(text: str) -> AnalyticFunction:
         raise SpecError(f"bad parameters in {text!r}: {exc}") from exc
 
 
-def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
+def parse_mesh_spec(text: str) -> Mesh:
     """Build a mesh from a compact string, with optional refinement suffix.
 
     Forms: ``uniform:a,b,n``, ``geometric:t0,h0,r,m``,
@@ -138,7 +138,7 @@ def parse_mesh_spec(text: str, default_quad_resolution: int = 10_000) -> Mesh:
             a, b, n = numbers(rem, 3, arg_offset + len(curve_raw) + 1)
             n_points = _as_int(n, "n_points", text)
             build = meshmod.build_equiarclength
-            args = (parse_function_spec(curve_raw), a, b, n_points, default_quad_resolution)
+            args = (parse_function_spec(curve_raw), a, b, n_points)
         else:
             raise SpecError(
                 f"unknown mesh kind {kind!r} in {text!r} (column 1); "

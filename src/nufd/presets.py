@@ -1,5 +1,6 @@
-"""Canned experiments: the four derivative studies, the oscillator runs and
-the mesh-profile dump.
+"""Canned experiments: the four derivative studies and the oscillator runs,
+which go through ``run_custom`` and ``run_oscillator`` as ``nufd diff`` and
+``nufd oscillator`` do, and the mesh-profile dump.
 
 Every preset is fully determined by its name plus the insertion fraction
 ``beta`` used to refine the nonuniform mesh, so runs are reproducible byte
@@ -9,9 +10,7 @@ for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import diffops, ivp
 from .diffops import FirstDiffKind, GridFunction, Operator, SecondDiffSpec
@@ -32,10 +31,9 @@ from .metrics import SldSeries, classify, scaled_local_difference
 __all__ = [
     "PRESET_NAMES",
     "DEFAULT_BETA",
-    "ExperimentPreset",
-    "resolve_preset",
     "run_preset",
     "run_custom",
+    "run_oscillator",
     "section5_uniform_mesh",
     "section5_nonuniform_mesh",
     "section5_function",
@@ -70,16 +68,13 @@ def section5_uniform_mesh() -> Mesh:
     return refine_insert(build_uniform(0.0, 1.0, 12), 0.5)
 
 
-def section5_nonuniform_mesh(beta: float = DEFAULT_BETA, quad_resolution: int = 10_000) -> Mesh:
+def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
     """The equi-arclength 12-point mesh for sin(2*pi*t), one point inserted per step.
 
     ``beta`` > 0.5 places the inserted points closer to their right
     neighbours.
     """
-    base = build_equiarclength(
-        make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12,
-        quad_resolution=quad_resolution,
-    )
+    base = build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
     return refine_insert(base, beta)
 
 
@@ -92,15 +87,6 @@ def oscillator_meshes() -> tuple[Mesh, Mesh]:
     geometric = build_geometric(0.0, 0.1, 50 / 59, 200)
     uniform = build_uniform(geometric.a, geometric.b, 11)
     return geometric, uniform
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """A named, fully resolved experiment configuration."""
-
-    name: str
-    beta: float
-    run: Callable[[Path], dict]
 
 
 def _write_series_csv(series: SldSeries, target: Path, header: str, columns: tuple) -> None:
@@ -120,11 +106,62 @@ def write_sld_csv(series: SldSeries, target: Path) -> None:
     _write_series_csv(series, target, "k,t,reference,approx,sld", (series.reference, series.approx))
 
 
-def _derivative_comparison(
-    op: Operator, f: AnalyticFunction, mesh: Mesh, order: int
-) -> tuple[GridFunction, SldSeries]:
+def write_oscillator_csv(solution: ivp.IvpSolution, target: Path) -> None:
+    columns = (solution.w.values, solution.exact.values)
+    _write_series_csv(solution.sld, target, "k,t,w,exact,sld", columns)
+
+
+_SGEI_KEYS = ("sgei", "argmax_t", "classification")
+
+
+def _sgei_summary(series: SldSeries | None) -> dict:
+    """The sgei, argmax_t and classification of one comparison; None without one."""
+    if series is None:
+        return dict.fromkeys(_SGEI_KEYS)
+    return {"sgei": series.sgei, "argmax_t": series.argmax_t, "classification": classify(series.sgei)}
+
+
+def run_custom(
+    mesh: Mesh,
+    f: AnalyticFunction,
+    op: Operator,
+    derivative_order: int | None = None,
+    *,
+    out_dir: Path,
+    prefix: str = "diff",
+) -> dict:
+    """Compare one operator against the exact derivative on one mesh.
+
+    ``derivative_order`` defaults to the order the operator approximates.
+    The grid and sld CSV files go to ``<prefix>_grid.csv`` and
+    ``<prefix>_sld.csv`` in the existing directory ``out_dir``.
+    """
+    order = diffops.derivative_order(op) if derivative_order is None else derivative_order
     approx = diffops.apply_operator(op, sample(f, 0, mesh))
-    return approx, scaled_local_difference(sample(f, order, mesh), approx)
+    series = scaled_local_difference(sample(f, order, mesh), approx)
+    write_grid_csv(approx, out_dir / f"{prefix}_grid.csv")
+    write_sld_csv(series, out_dir / f"{prefix}_sld.csv")
+    return {
+        "schema_version": 1,
+        "operator": str(op),
+        "function": f.label,
+        "derivative_order": order,
+        **_sgei_summary(series),
+    }
+
+
+def run_oscillator(problem: ivp.IvpProblem, target: Path) -> dict:
+    """March ``problem``, write the CSV ``target`` and summarise the comparison.
+
+    The CSV compares the march with the exact motion; when that motion is
+    identically zero it holds the march alone, and every summary value is None.
+    """
+    solution = ivp.solve(problem)
+    if solution.sld is None:
+        write_grid_csv(solution.w, target)
+    else:
+        write_oscillator_csv(solution, target)
+    return _sgei_summary(solution.sld)
 
 
 def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
@@ -141,18 +178,9 @@ def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
         ("uniform", section5_uniform_mesh()),
         ("nonuniform", section5_nonuniform_mesh(beta)),
     ):
-        approx, series = _derivative_comparison(op, f, mesh, diffops.derivative_order(op))
-        write_grid_csv(approx, out_dir / f"{name}_{variant}_grid.csv")
-        write_sld_csv(series, out_dir / f"{name}_{variant}_sld.csv")
-        summary[f"sgei_{variant}"] = series.sgei
-        summary[f"argmax_t_{variant}"] = series.argmax_t
-        summary[f"classification_{variant}"] = classify(series.sgei)
+        result = run_custom(mesh, f, op, out_dir=out_dir, prefix=f"{name}_{variant}")
+        summary.update({f"{key}_{variant}": result[key] for key in _SGEI_KEYS})
     return summary
-
-
-def write_oscillator_csv(solution: ivp.IvpSolution, target: Path) -> None:
-    columns = (solution.w.values, solution.exact.values)
-    _write_series_csv(solution.sld, target, "k,t,w,exact,sld", columns)
 
 
 def _run_oscillator_preset(out_dir: Path) -> dict:
@@ -167,11 +195,8 @@ def _run_oscillator_preset(out_dir: Path) -> dict:
     }
     for variant, mesh in (("geometric", geometric), ("uniform", uniform)):
         problem = ivp.IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh)
-        solution = ivp.solve(problem)
-        write_oscillator_csv(solution, out_dir / f"ex5_5_{variant}.csv")
-        summary[f"sgei_{variant}"] = solution.sld.sgei
-        summary[f"argmax_t_{variant}"] = solution.sld.argmax_t
-        summary[f"classification_{variant}"] = classify(solution.sld.sgei)
+        result = run_oscillator(problem, out_dir / f"ex5_5_{variant}.csv")
+        summary.update({f"{key}_{variant}": result[key] for key in _SGEI_KEYS})
     return summary
 
 
@@ -190,51 +215,14 @@ def _run_mesh_profile_preset(beta: float, out_dir: Path) -> dict:
     return summary
 
 
-def resolve_preset(name: str, beta: float = DEFAULT_BETA) -> ExperimentPreset:
-    """Resolve a preset name into a runnable configuration."""
-    if name in _DERIVATIVE_PRESETS:
-        return ExperimentPreset(name, beta, lambda out: _run_derivative_preset(name, beta, out))
-    if name == "ex5_5":
-        return ExperimentPreset(name, beta, _run_oscillator_preset)
-    if name == "fig5_1":
-        return ExperimentPreset(name, beta, lambda out: _run_mesh_profile_preset(beta, out))
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-
-
-def run_preset(preset: ExperimentPreset, out_dir: Path) -> dict:
-    """Run one preset, writing its CSV files into ``out_dir``."""
+def run_preset(name: str, out_dir: Path, beta: float = DEFAULT_BETA) -> dict:
+    """Run the preset ``name``, writing its CSV files into ``out_dir``."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return preset.run(out_dir)
-
-
-def run_custom(
-    mesh: Mesh,
-    f: AnalyticFunction,
-    op: Operator,
-    derivative_order: int | None = None,
-    out_dir: Path | None = None,
-    prefix: str = "diff",
-) -> dict:
-    """Compare one operator against the exact derivative on one mesh.
-
-    ``derivative_order`` defaults to the order the operator approximates.
-    When ``out_dir`` is given, the grid and sld CSV files are written there.
-    """
-    order = diffops.derivative_order(op) if derivative_order is None else derivative_order
-    approx, series = _derivative_comparison(op, f, mesh, order)
-    summary = {
-        "schema_version": 1,
-        "operator": str(op),
-        "function": f.label,
-        "derivative_order": order,
-        "sgei": series.sgei,
-        "argmax_t": series.argmax_t,
-        "classification": classify(series.sgei),
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_grid_csv(approx, out_dir / f"{prefix}_grid.csv")
-        write_sld_csv(series, out_dir / f"{prefix}_sld.csv")
-    return summary
+    if name == "ex5_5":
+        return _run_oscillator_preset(out_dir)
+    if name == "fig5_1":
+        return _run_mesh_profile_preset(beta, out_dir)
+    return _run_derivative_preset(name, beta, out_dir)

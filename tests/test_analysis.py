@@ -134,6 +134,11 @@ class TestGeometricConsistency:
         with pytest.raises(ValueError):
             geometric_consistency(SecondDiffSpec(F, F), 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e200, 1e-200, math.inf])
+    def test_rejects_a_ratio_whose_powers_are_not_finite_floats(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            geometric_consistency(SecondDiffSpec(F, F), alpha)
+
 
 class TestFirstDiffErrorBound:
     def test_zero_bound_for_linear_function(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nufd import presets
 from nufd.cli import main
 from nufd.mesh import read_mesh_csv
 
@@ -71,6 +72,19 @@ class TestDiffCommand:
         assert result.exit_code != 0
         assert "at least 3" in result.output
 
+    def test_reproduces_the_ex5_2_uniform_files(self, runner, tmp_path):
+        preset, diff = tmp_path / "preset", tmp_path / "diff"
+        assert run(runner, "--out", preset, "preset", "ex5_2").exit_code == 0
+        result = run(
+            runner, "--out", diff, "diff",
+            "--mesh", "uniform:0,1,12+insert:0.5",
+            "--function", "sinusoid:amplitude=-1,frequency=4pi",
+            "--op", "d+ d+",
+        )
+        assert result.exit_code == 0, result.output
+        for kind in ("grid", "sld"):
+            assert (diff / f"diff_{kind}.csv").read_bytes() == (preset / f"ex5_2_uniform_{kind}.csv").read_bytes()
+
 
 class TestConsistencyCommand:
     def test_mesh_report(self, runner, tmp_path):
@@ -98,6 +112,11 @@ class TestConsistencyCommand:
     def test_needs_pair(self, runner, tmp_path):
         result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+", "--alpha", 2.0)
         assert result.exit_code != 0
+
+    def test_overflowing_alpha_is_a_clean_error(self, runner, tmp_path):
+        result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+ d+", "--alpha", "1e200")
+        assert result.exit_code == 1
+        assert "alpha" in result.output
 
 
 class TestOrderCommand:
@@ -157,6 +176,19 @@ class TestOscillatorCommand:
         assert result.exit_code != 0
         assert "the march diverged" in result.output
 
+    def test_zero_data_writes_the_march_alone(self, runner, tmp_path):
+        result = run(
+            runner, "--out", tmp_path, "oscillator",
+            "--mesh", "uniform:0,1,11", "--initial-value", 0, "--initial-slope", 0,
+        )
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "oscillator.csv").read_text().splitlines()
+        assert lines[0] == "k,t,value"
+        assert len(lines) == 12
+        assert all(float(line.split(",")[2]) == 0.0 for line in lines[1:])
+        doc = json.loads((tmp_path / "oscillator_summary.json").read_text())
+        assert doc["sgei"] is None
+
 
 class TestPresets:
     def test_ex5_1_summary(self, runner, tmp_path):
@@ -214,3 +246,8 @@ class TestPresets:
         assert result.exit_code == 0
         echoed = json.loads(result.output)
         assert echoed["preset"] == "ex5_1"
+
+    def test_unknown_name_is_rejected_with_the_known_names(self, tmp_path):
+        with pytest.raises(ValueError) as raised:
+            presets.run_preset("nope", tmp_path)
+        assert all(name in str(raised.value) for name in presets.PRESET_NAMES)

@@ -258,6 +258,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             IvpProblem(kappa=1.0, mesh=geometric, initial_slope=float("inf"))
 
+    @pytest.mark.parametrize("second_value", [float("nan"), float("inf")])
+    def test_solve_rejects_a_non_finite_second_value(self, second_value):
+        # kappa * h**2 = 0.01, so a finite start would march without diverging
+        problem = IvpProblem(kappa=1.0, mesh=build_uniform(0.0, 1.0, 11))
+        with pytest.raises(ValueError, match="second_value") as raised:
+            solve(problem, second_value=second_value)
+        assert not isinstance(raised.value, MarchDivergedError)
+
     def test_rejects_unsupported_operator(self, meshes):
         geometric, _ = meshes
         with pytest.raises(ValueError):
