@@ -60,3 +60,4 @@ run order order --op c --function "$study" \
 
 run fail-mesh-spec mesh "uniform:0,1"
 run fail-alpha-overflow consistency --spec "d+ d+" --alpha 1e200
+run oscillator-unstable oscillator --kappa 1e6 --mesh "uniform:0,1,11"

@@ -25,6 +25,7 @@ from .diffops import (
     FirstDiffKind,
     Operator,
     SecondDiffSpec,
+    WindowError,
     apply_operator,
     stencil,
     stencil_offsets,
@@ -72,36 +73,38 @@ class OrderEstimate:
 
 def _local_points(spec: SecondDiffSpec, mesh: Mesh, k: int) -> list[float]:
     """Mesh points t_{k+lo} .. t_{k+hi} under the pair's stencil at index k."""
-    lo, hi = stencil_offsets(spec)
-    if k + lo < 0 or k + hi > mesh.n_points - 1:
-        raise ValueError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
+    lo, hi = spec.plan[:2]
+    if k + lo < 0 or k + hi >= len(mesh.points):
+        raise WindowError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
     return mesh.points[k + lo : k + hi + 1].tolist()
 
 
 def _terms(spec: SecondDiffSpec, x: list[float]) -> list[tuple[float, float]]:
     """(w_j, t_{k+j} - t_k) for every stencil point, in offset order."""
-    lo, _ = stencil_offsets(spec)
+    lo = spec.plan[0]
     tk = x[-lo]
     return [(w, x[j - lo] - tk) for j, w in stencil(spec, x)]
 
 
 def _moment(terms: list[tuple[float, float]], p: int) -> float:
     """sum_j w_j (t_{k+j} - t_k)**p / p!, the coefficient of f^(p)(t_k)."""
-    return sum(w * d**p for w, d in terms) / math.factorial(p)
+    return sum([w * d**p for w, d in terms]) / math.factorial(p)
 
 
-def _report(
-    spec: SecondDiffSpec, x: list[float], index: int, bracket: tuple[float, float]
-) -> ConsistencyReport:
-    terms = _terms(spec, x)
-    leading = _moment(terms, 2)
+def _report(spec: SecondDiffSpec, x: list[float], index: int) -> ConsistencyReport:
+    # the moments M_2 and M_3 of _moment, from one pass over the terms
+    squares, cubes = [], []
+    for w, d in _terms(spec, x):
+        squares.append(w * d**2)
+        cubes.append(w * d**3)
+    leading = sum(squares) / 2
     return ConsistencyReport(
         spec=spec,
         index=index,
         leading_coefficient=leading,
-        fppp_coefficient=_moment(terms, 3),
+        fppp_coefficient=sum(cubes) / 6,
         consistent=abs(leading - 1.0) <= CONSISTENCY_TOL,
-        remainder_bracket=bracket,
+        remainder_bracket=(x[0], x[-1]),
     )
 
 
@@ -138,13 +141,12 @@ def consistency_coefficient(spec: SecondDiffSpec, steps: Sequence[float | None])
         x.insert(0, x[0] - step(which))
     for which in range(2, 2 + hi):
         x.append(x[-1] + step(which))
-    return _report(spec, x, 2, (x[0], x[-1]))
+    return _report(spec, x, 2)
 
 
 def consistency_report_at(spec: SecondDiffSpec, mesh: Mesh, k: int) -> ConsistencyReport:
     """Consistency report for one pair at mesh index k."""
-    x = _local_points(spec, mesh, k)
-    return _report(spec, x, k, (x[0], x[-1]))
+    return _report(spec, _local_points(spec, mesh, k), k)
 
 
 def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
@@ -172,26 +174,21 @@ def first_diff_error_bound(
     neighbouring steps, except on uniform meshes where the sharper f'''
     form applies.  Every supremum is exact, from ``f.sup_abs``.
     """
-    pts = mesh.points
-    h = mesh.steps
-    npts = mesh.n_points
-    if kind is FirstDiffKind.FORWARD:
-        if not 0 <= k <= npts - 2:
-            raise ValueError(f"index {k} invalid for a forward difference")
-        return (h[k] / 2) * f.sup_abs(2, pts[k], pts[k + 1])
-    if kind is FirstDiffKind.BACKWARD:
-        if not 1 <= k <= npts - 1:
-            raise ValueError(f"index {k} invalid for a backward difference")
-        return (h[k - 1] / 2) * f.sup_abs(2, pts[k - 1], pts[k])
-    if kind is FirstDiffKind.CENTRAL:
-        if not 1 <= k <= npts - 2:
-            raise ValueError(f"index {k} invalid for a central difference")
-        if mesh.is_uniform():
-            return (h[k] ** 2 / 3) * f.sup_abs(3, pts[k - 1], pts[k + 1])
-        sup_fwd = f.sup_abs(2, pts[k], pts[k + 1])
-        sup_bwd = f.sup_abs(2, pts[k - 1], pts[k])
-        return (h[k] ** 2 * sup_fwd + h[k - 1] ** 2 * sup_bwd) / (2 * (h[k] + h[k - 1]))
-    raise TypeError(f"unknown first-difference kind {kind!r}")
+    if not isinstance(kind, FirstDiffKind):
+        raise TypeError(f"unknown first-difference kind {kind!r}")
+    b, a = kind.offsets
+    if k + b < 0 or k + a >= len(mesh.points):
+        raise WindowError(f"index {k} invalid for a {kind.name.lower()} difference")
+    x = mesh.points[k + b : k + a + 1].tolist()
+    if kind is not FirstDiffKind.CENTRAL:
+        return ((x[1] - x[0]) / 2) * f.sup_abs(2, x[0], x[1])
+    t0, t1, t2 = x
+    h0, h1 = t1 - t0, t2 - t1
+    if mesh.is_uniform():
+        return (h1**2 / 3) * f.sup_abs(3, t0, t2)
+    sup_fwd = f.sup_abs(2, t1, t2)
+    sup_bwd = f.sup_abs(2, t0, t1)
+    return (h1**2 * sup_fwd + h0**2 * sup_bwd) / (2 * (h1 + h0))
 
 
 def stencil_weights(spec: SecondDiffSpec, mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:

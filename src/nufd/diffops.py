@@ -9,6 +9,7 @@ the nine compositions shrink windows differently.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence, Union
 
@@ -39,11 +40,18 @@ class WindowError(ValueError):
 
 
 class FirstDiffKind(enum.Enum):
-    """The three first-order divided differences."""
+    """The three first-order divided differences.  ``offsets`` holds the index
+    offsets (b, a) of the two points each reads: (u_a - u_b) / (t_a - t_b)."""
 
-    FORWARD = "d+"
-    BACKWARD = "d-"
-    CENTRAL = "c"
+    FORWARD = ("d+", 0, 1)
+    BACKWARD = ("d-", -1, 0)
+    CENTRAL = ("c", -1, 1)
+
+    def __new__(cls, label: str, b: int, a: int) -> FirstDiffKind:
+        kind = object.__new__(cls)
+        kind._value_ = label
+        kind.offsets = (b, a)
+        return kind
 
     def __str__(self) -> str:
         return self.value
@@ -58,6 +66,23 @@ class SecondDiffSpec:
 
     def __str__(self) -> str:
         return f"{self.outer.value} {self.inner.value}"
+
+    @functools.cached_property
+    def plan(self) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(lo, hi, positions, rows): the pair's stencil structure, built once.
+
+        ``positions`` index x = t_{k+lo} .. t_{k+hi}: the outer difference's
+        b and a, then the inner difference's b and a around each of them,
+        the points of the weight products bb, ba, ab, aa (signs +, -, -, +).
+        ``rows`` pairs each offset the stencil touches, in offset order,
+        with its term in :func:`stencil`: product 0..3 added to 0.0, or 4
+        when products 1 and 2 land on one offset and add in that order.
+        """
+        (ob, oa), (ib, ia) = self.outer.offsets, self.inner.offsets
+        landing = (ob + ib, ob + ia, oa + ib, oa + ia)
+        lo = landing[0]
+        rows = tuple((j, 4 if landing[1] == j == landing[2] else landing.index(j)) for j in sorted(set(landing)))
+        return lo, landing[3], (ob - lo, oa - lo, *(j - lo for j in landing)), rows
 
 
 ALL_SECOND_SPECS: tuple[SecondDiffSpec, ...] = tuple(
@@ -137,18 +162,14 @@ def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     Forward lives on k = first..last-1, backward on k = first+1..last and
     central on k = first+1..last-1.
     """
+    if not isinstance(kind, FirstDiffKind):
+        raise TypeError(f"unknown first-difference kind {kind!r}")
+    b, a = kind.offsets
+    width = a - b
+    _require(u, width + 1, f"{kind.name.lower()} difference")
     t = u.t
     v = u.values
-    if kind is FirstDiffKind.FORWARD:
-        _require(u, 2, "forward difference")
-        return GridFunction(u.mesh, u.first_index, (v[1:] - v[:-1]) / (t[1:] - t[:-1]))
-    if kind is FirstDiffKind.BACKWARD:
-        _require(u, 2, "backward difference")
-        return GridFunction(u.mesh, u.first_index + 1, (v[1:] - v[:-1]) / (t[1:] - t[:-1]))
-    if kind is FirstDiffKind.CENTRAL:
-        _require(u, 3, "central difference")
-        return GridFunction(u.mesh, u.first_index + 1, (v[2:] - v[:-2]) / (t[2:] - t[:-2]))
-    raise TypeError(f"unknown first-difference kind {kind!r}")
+    return GridFunction(u.mesh, u.first_index - b, (v[width:] - v[:-width]) / (t[width:] - t[:-width]))
 
 
 def second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
@@ -160,25 +181,13 @@ def second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
     return first_difference(spec.outer, first_difference(spec.inner, u))
 
 
-# Index offsets (b, a), relative to the evaluation point, of the two points
-# each first difference reads: (u_a - u_b) / (t_a - t_b).  Compositions read
-# the Minkowski sum of their ranges.
-_FIRST_OFFSETS = {
-    FirstDiffKind.FORWARD: (0, 1),
-    FirstDiffKind.BACKWARD: (-1, 0),
-    FirstDiffKind.CENTRAL: (-1, 1),
-}
-
-
 def stencil_offsets(op: FirstDiffKind | SecondDiffSpec) -> tuple[int, int]:
     """Smallest and largest index offset the operator's stencil touches."""
     if isinstance(op, FirstDiffKind):
-        return _FIRST_OFFSETS[op]
+        return op.offsets
     if not isinstance(op, SecondDiffSpec):
         raise TypeError(f"no composed stencil for operator {op!r}")
-    olo, ohi = _FIRST_OFFSETS[op.outer]
-    ilo, ihi = _FIRST_OFFSETS[op.inner]
-    return olo + ilo, ohi + ihi
+    return op.plan[:2]
 
 
 def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int, Any], ...]:
@@ -192,21 +201,19 @@ def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int,
     sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
     The pairs come in offset order, one per point the stencil touches.
     """
-    lo, _ = stencil_offsets(op)
-
-    def first(kind: FirstDiffKind, at: int) -> tuple[tuple[int, Any], ...]:
-        ob, oa = _FIRST_OFFSETS[kind]
-        b, a = at + ob, at + oa
-        w = 1.0 / (x[a - lo] - x[b - lo])
-        return (b, -w), (a, w)
-
     if isinstance(op, FirstDiffKind):
-        return first(op, 0)
-    weights: dict[int, Any] = {}
-    for mid, w_outer in first(op.outer, 0):
-        for j, w_inner in first(op.inner, mid):
-            weights[j] = weights.get(j, 0.0) + w_outer * w_inner
-    return tuple(sorted(weights.items()))
+        b, a = op.offsets
+        w = 1.0 / (x[a - b] - x[0])
+        return (b, -w), (a, w)
+    if not isinstance(op, SecondDiffSpec):
+        raise TypeError(f"no composed stencil for operator {op!r}")
+    _, _, (ob, oa, bb, ba, ab, aa), rows = op.plan
+    w = 1.0 / (x[oa] - x[ob])
+    wb = w * (1.0 / (x[ba] - x[bb]))
+    wa = w * (1.0 / (x[aa] - x[ab]))
+    nb = 0.0 - wb
+    terms = (wb, nb, 0.0 - wa, wa, nb - wa)
+    return tuple([(j, terms[i]) for j, i in rows])
 
 
 def d2_corrected(u: GridFunction) -> GridFunction:

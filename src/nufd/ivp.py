@@ -52,6 +52,7 @@ __all__ = [
     "IvpProblem",
     "IvpSolution",
     "MarchDivergedError",
+    "MarchUnstableError",
     "solve",
     "effective_equation_factor",
 ]
@@ -78,6 +79,10 @@ class MarchDivergedError(ValueError):
             f"max kappa*c_k*h_k = {max_growth:.6g}, and on a uniform mesh the march "
             f"stays bounded only while kappa*h**2 <= 4"
         )
+
+
+class MarchUnstableError(ValueError):
+    """Raised when a finite march on a uniform mesh has kappa*h**2 > 4."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,9 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     and v_0 = (w_1 - w_0) / h_0.
 
     Raises MarchDivergedError, without numpy overflow warnings, when the
-    march overflows.  Zero initial data gives exact zeros on any mesh.
+    march overflows, and MarchUnstableError when a finite march on a uniform
+    mesh has kappa*h**2 > 4 (a criterion exact only on uniform meshes) and
+    data (w_0, w_1) not both zero.  Zero data gives exact zeros on any mesh.
     """
     mesh = problem.mesh
     kappa = problem.kappa
@@ -208,6 +215,8 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     if not finite.all():
         index = int(np.argmin(finite))
         raise MarchDivergedError(index, float(mesh.points[index]), float(np.max(growth * h[1:])))
+    if (w0 or w1) and mesh.is_uniform() and (kappa_h2 := kappa * float(h[0]) ** 2) > 4:
+        raise MarchUnstableError(f"the march is unstable: kappa*h**2 = {kappa_h2:.6g} exceeds the stability limit 4")
 
     numeric = GridFunction(mesh, 0, w)
     phi = _oscillator(kappa, problem.initial_value, problem.initial_slope, t0=mesh.a)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nufd import Mesh, make_polynomial, make_sinusoid
+from nufd import FirstDiffKind, Mesh, SecondDiffSpec, make_polynomial, make_sinusoid
 
 EPS = np.finfo(float).eps
 
@@ -123,3 +123,41 @@ def long_double_march(t: np.ndarray, kappa: float, value: float, slope: float, o
         else:
             w[k + 1] = ((hp + hm) * w[k] - hp * w[k - 1] - kap * w[k] * hp * hm * hm) / hm
     return w
+
+
+# Index offsets (b, a) of the two points each first difference reads:
+# (u_a - u_b) / (t_a - t_b).
+_FIRST_OFFSETS = {
+    FirstDiffKind.FORWARD: (0, 1),
+    FirstDiffKind.BACKWARD: (-1, 0),
+    FirstDiffKind.CENTRAL: (-1, 1),
+}
+
+
+def reference_stencil(op, x):
+    """Weights ((offset, weight), ...) of a first difference or a pair, composed per call.
+
+    The dict-and-closure form the planned ``diffops.stencil`` replaced, kept
+    as its bitwise oracle: each product of an outer and an inner weight is
+    added, in the order the two loops meet it, to a sum that starts at 0.0.
+    """
+    if isinstance(op, FirstDiffKind):
+        lo = _FIRST_OFFSETS[op][0]
+    elif isinstance(op, SecondDiffSpec):
+        lo = _FIRST_OFFSETS[op.outer][0] + _FIRST_OFFSETS[op.inner][0]
+    else:
+        raise TypeError(op)
+
+    def first(kind, at):
+        ob, oa = _FIRST_OFFSETS[kind]
+        b, a = at + ob, at + oa
+        w = 1.0 / (x[a - lo] - x[b - lo])
+        return (b, -w), (a, w)
+
+    if isinstance(op, FirstDiffKind):
+        return first(op, 0)
+    weights = {}
+    for mid, w_outer in first(op.outer, 0):
+        for j, w_inner in first(op.inner, mid):
+            weights[j] = weights.get(j, 0.0) + w_outer * w_inner
+    return tuple(sorted(weights.items()))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nufd import (
     FirstDiffKind,
     Mesh,
     SecondDiffSpec,
+    WindowError,
     build_uniform,
     consistency_coefficient,
     consistency_report_at,
@@ -23,9 +25,10 @@ from nufd import (
     sample,
     second_difference,
 )
-from nufd.analysis import stencil_offsets, stencil_weights
+from nufd.analysis import CONSISTENCY_TOL, stencil_offsets, stencil_weights
+from nufd.diffops import stencil
 
-from helpers import jittered_family, random_mesh
+from helpers import exact_uniform_mesh, jittered_family, random_mesh, reference_stencil
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 
@@ -360,3 +363,134 @@ class TestEmpiricalOrder:
         est = empirical_order(SecondDiffSpec(F, F), study_function, family, 2)
         assert est.sample_points[0][1] > 1.0
         assert 0.75 <= est.slope <= 1.25
+
+
+def _oracle_mesh(family, rng):
+    """Twelve-point mesh of one family; the offset family sits near 1e6, where steps round."""
+    if family == "jittered":
+        return random_mesh(rng, 11)
+    if family == "geometric":
+        return Mesh(np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 2.0) ** np.arange(11)))))
+    if family == "offset":
+        return random_mesh(rng, 11, start=1e6, scale=1e-3)
+    return exact_uniform_mesh(rng, 12)
+
+
+def _oracle_terms(op, x):
+    lo, _ = stencil_offsets(op)
+    return [(w, x[j - lo] - x[-lo]) for j, w in reference_stencil(op, x)]
+
+
+def _oracle_moment(terms, p):
+    return sum(w * d**p for w, d in terms) / math.factorial(p)
+
+
+def _oracle_quadruple_points(steps):
+    """Points around t_k = 0 through the four steps, each formed as consistency_coefficient forms it."""
+    h0, h1, h2, h3 = steps
+    back = 0.0 - h1
+    return [back - h0, back, 0.0, h2, h2 + h3]
+
+
+class TestReferenceOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(["jittered", "geometric", "offset", "uniform"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_plan_and_its_views_equal_the_reference_rows(self, family, seed):
+        # the planned stencil and every per-index view are bit-identical to the
+        # values rebuilt from the composed reference rows of tests/helpers.py
+        rng = np.random.default_rng(seed)
+        mesh = _oracle_mesh(family, rng)
+        t, h, n = mesh.points, mesh.steps, mesh.n_points
+        f = make_sinusoid(rng.uniform(0.5, 2.0), rng.uniform(1.0, 8.0), rng.uniform(0.0, 6.0))
+        for op in [*FirstDiffKind, *ALL_SECOND_SPECS]:
+            lo, hi = stencil_offsets(op)
+            ks = np.arange(-lo, n - hi)
+            rows = [t[ks + j] for j in range(lo, hi + 1)]
+            got, want = stencil(op, rows), reference_stencil(op, rows)
+            assert [j for j, _ in got] == [j for j, _ in want]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+            for k in ks.tolist():
+                x = t[k + lo : k + hi + 1].tolist()
+                assert stencil(op, x) == reference_stencil(op, x)
+        for spec in ALL_SECOND_SPECS:
+            lo, hi = stencil_offsets(spec)
+            p = 5 if lo == -hi else 4
+            for k in range(-lo, n - hi):
+                x = t[k + lo : k + hi + 1].tolist()
+                terms = _oracle_terms(spec, x)
+                leading, fppp = _oracle_moment(terms, 2), _oracle_moment(terms, 3)
+                report = consistency_report_at(spec, mesh, k)
+                assert (report.leading_coefficient, report.fppp_coefficient) == (leading, fppp)
+                assert report.remainder_bracket == (x[0], x[-1])
+                assert report.consistent == (abs(leading - 1.0) <= CONSISTENCY_TOL)
+                offsets, weights = stencil_weights(spec, mesh, k)
+                assert offsets.tolist() == [j for j, _ in reference_stencil(spec, x)]
+                assert weights.tolist() == [w for w, _ in terms]
+                predicted = sum(
+                    _oracle_moment(terms, q) * float(f.evaluate(q, x[-lo])) for q in range(2, p)
+                )
+                bound = sum(abs(w) * abs(d) ** p for w, d in terms) / math.factorial(p)
+                assert expansion_prediction(spec, f, mesh, k) == (
+                    predicted, bound * f.sup_abs(p, x[0], x[-1])
+                )
+            for k in range(2, n - 2):
+                steps = h[k - 2 : k + 2].tolist()
+                quad = _oracle_quadruple_points(steps)[2 + lo : 3 + hi]
+                terms = _oracle_terms(spec, quad)
+                report = consistency_coefficient(spec, steps)
+                assert report.leading_coefficient == _oracle_moment(terms, 2)
+                assert report.fppp_coefficient == _oracle_moment(terms, 3)
+            alpha = float(rng.uniform(0.5, 2.0))
+            quad = _oracle_quadruple_points((1.0, alpha, alpha**2, alpha**3))[2 + lo : 3 + hi]
+            assert geometric_consistency(spec, alpha) == _oracle_moment(_oracle_terms(spec, quad), 2)
+        # the bounds as they read numpy scalars from points and steps
+        for k in range(0, n - 1):
+            assert first_diff_error_bound(F, f, mesh, k) == (h[k] / 2) * f.sup_abs(2, t[k], t[k + 1])
+            assert first_diff_error_bound(B, f, mesh, k + 1) == (h[k] / 2) * f.sup_abs(2, t[k], t[k + 1])
+        for k in range(1, n - 1):
+            if mesh.is_uniform():
+                want = (h[k] ** 2 / 3) * f.sup_abs(3, t[k - 1], t[k + 1])
+            else:
+                sup_fwd, sup_bwd = f.sup_abs(2, t[k], t[k + 1]), f.sup_abs(2, t[k - 1], t[k])
+                want = (h[k] ** 2 * sup_fwd + h[k - 1] ** 2 * sup_bwd) / (2 * (h[k] + h[k - 1]))
+            assert first_diff_error_bound(C, f, mesh, k) == want
+
+
+class TestWindowErrors:
+    """An index whose stencil does not fit raises WindowError with the window message."""
+
+    @pytest.mark.parametrize("k_at", ["first", "last"])
+    @pytest.mark.parametrize("spec", ALL_SECOND_SPECS, ids=str)
+    def test_pair_views(self, spec, k_at):
+        mesh = build_uniform(0.0, 1.0, 7)
+        f = make_sinusoid(1.0, 2.0)
+        k = 0 if k_at == "first" else 6
+        lo, hi = stencil_offsets(spec)
+        message = re.escape(f"index {k} is invalid for '{spec}' on a mesh with 7 points")
+        for view in (
+            lambda: consistency_report_at(spec, mesh, k),
+            lambda: stencil_weights(spec, mesh, k),
+            lambda: expansion_prediction(spec, f, mesh, k),
+        ):
+            if 0 <= k + lo and k + hi <= 6:
+                view()
+            else:
+                with pytest.raises(WindowError, match=message):
+                    view()
+
+    @pytest.mark.parametrize("k_at", ["first", "last"])
+    @pytest.mark.parametrize("kind", list(FirstDiffKind), ids=str)
+    def test_first_difference_bounds(self, kind, k_at):
+        mesh = build_uniform(0.0, 1.0, 7)
+        f = make_sinusoid(1.0, 2.0)
+        k = 0 if k_at == "first" else 6
+        lo, hi = stencil_offsets(kind)
+        if 0 <= k + lo and k + hi <= 6:
+            first_diff_error_bound(kind, f, mesh, k)
+        else:
+            name = {F: "forward", B: "backward", C: "central"}[kind]
+            with pytest.raises(WindowError, match=f"index {k} invalid for a {name} difference"):
+                first_diff_error_bound(kind, f, mesh, k)

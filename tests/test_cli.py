@@ -176,6 +176,15 @@ class TestOscillatorCommand:
         assert result.exit_code != 0
         assert "the march diverged" in result.output
 
+    def test_finite_unstable_march_is_reported(self, runner, tmp_path):
+        result = run(
+            runner, "--out", tmp_path, "oscillator",
+            "--kappa", "1e6", "--mesh", "uniform:0,1,11",
+        )
+        assert result.exit_code == 1
+        assert "kappa*h**2" in result.output
+        assert not (tmp_path / "oscillator.csv").exists()
+
     def test_zero_data_writes_the_march_alone(self, runner, tmp_path):
         result = run(
             runner, "--out", tmp_path, "oscillator",

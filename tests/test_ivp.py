@@ -9,6 +9,7 @@ from nufd import (
     FirstDiffKind,
     IvpProblem,
     MarchDivergedError,
+    MarchUnstableError,
     Mesh,
     SecondDiffSpec,
     build_geometric,
@@ -136,6 +137,21 @@ class TestSolve:
         assert info.value.index == first_overflow
         assert info.value.max_growth == pytest.approx(1e6 * 0.5**2, rel=1e-12)
         assert f"from index {first_overflow}" in str(info.value)
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    def test_finite_unstable_march_raises_a_named_error(self, operator):
+        # kappa*h**2 = 1e4: the march grows to about 1e36 but stays finite
+        problem = IvpProblem(kappa=1e6, mesh=build_uniform(0.0, 1.0, 11), operator=operator)
+        with pytest.raises(MarchUnstableError, match=r"kappa\*h\*\*2 = 10000 .* limit 4") as info:
+            solve(problem)
+        assert isinstance(info.value, ValueError)
+        assert not isinstance(info.value, MarchDivergedError)
+
+    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    def test_march_just_inside_the_stability_limit_solves(self, operator):
+        # kappa*h**2 = 3.9 on the 11-point unit mesh
+        solution = solve(IvpProblem(kappa=390.0, mesh=build_uniform(0.0, 1.0, 11), operator=operator))
+        assert np.all(np.isfinite(solution.w.values))
 
     @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
     @pytest.mark.parametrize("name", ["uniform", "graded", "jittered", "geometric"])
