@@ -61,3 +61,7 @@ run order order --op c --function "$study" \
 run fail-mesh-spec mesh "uniform:0,1"
 run fail-alpha-overflow consistency --spec "d+ d+" --alpha 1e200
 run oscillator-unstable oscillator --kappa 1e6 --mesh "uniform:0,1,11"
+run oscillator-unstable-geometric oscillator --kappa 1e6 --mesh "geometric:0,0.1,1.01,10"
+run oscillator-forward-backward oscillator --mesh "$paper_mesh" --operator "d+ d-"
+run fail-oscillator-unmarchable oscillator --mesh "uniform:0,1,11" --operator "c c"
+run consistency-d2-paper consistency --spec d2 --mesh "$paper_mesh" --k 100

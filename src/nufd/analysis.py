@@ -1,14 +1,14 @@
 """Consistency coefficients, truncation-error bounds and empirical orders.
 
-For every ordered pair of first differences the composed second difference
-expands as
+Every second difference (an ordered pair of first differences, or the
+corrected stencil d2) expands as
 
     leading * f''(t_k) + fppp * f'''(t_k) + ... + remainder,
 
 where the coefficient of f^(p)(t_k) is the stencil's Taylor moment
 sum_j w_j (t_{k+j} - t_k)**p / p!, with the weights w_j from
-:func:`nufd.diffops.stencil`.  The pair approximates f'' consistently at
-t_k exactly when the leading coefficient is 1.  Remainders involve unknown
+:func:`nufd.diffops.stencil`.  The operator approximates f'' consistently
+at t_k exactly when the leading coefficient is 1.  Remainders involve unknown
 mean-value points, so they are only ever reported as interval brackets and
 sup-based bounds.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .diffops import (
     FirstDiffKind,
     Operator,
-    SecondDiffSpec,
+    SecondOperator,
     WindowError,
     apply_operator,
     stencil,
@@ -52,9 +52,9 @@ CONSISTENCY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Leading expansion coefficients of one operator pair at one index."""
+    """Leading expansion coefficients of one second difference at one index."""
 
-    spec: SecondDiffSpec
+    spec: SecondOperator
     index: int
     leading_coefficient: float
     fppp_coefficient: float
@@ -71,15 +71,15 @@ class OrderEstimate:
     sample_points: tuple[tuple[float, float], ...]
 
 
-def _local_points(spec: SecondDiffSpec, mesh: Mesh, k: int) -> list[float]:
-    """Mesh points t_{k+lo} .. t_{k+hi} under the pair's stencil at index k."""
+def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> list[float]:
+    """Mesh points t_{k+lo} .. t_{k+hi} under the operator's stencil at index k."""
     lo, hi = spec.plan[:2]
     if k + lo < 0 or k + hi >= len(mesh.points):
         raise WindowError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
     return mesh.points[k + lo : k + hi + 1].tolist()
 
 
-def _terms(spec: SecondDiffSpec, x: list[float]) -> list[tuple[float, float]]:
+def _terms(spec: SecondOperator, x: list[float]) -> list[tuple[float, float]]:
     """(w_j, t_{k+j} - t_k) for every stencil point, in offset order."""
     lo = spec.plan[0]
     tk = x[-lo]
@@ -91,7 +91,7 @@ def _moment(terms: list[tuple[float, float]], p: int) -> float:
     return sum([w * d**p for w, d in terms]) / math.factorial(p)
 
 
-def _report(spec: SecondDiffSpec, x: list[float], index: int) -> ConsistencyReport:
+def _report(spec: SecondOperator, x: list[float], index: int) -> ConsistencyReport:
     # the moments M_2 and M_3 of _moment, from one pass over the terms
     squares, cubes = [], []
     for w, d in _terms(spec, x):
@@ -111,30 +111,30 @@ def _report(spec: SecondDiffSpec, x: list[float], index: int) -> ConsistencyRepo
 _STEP_NAMES = ("h_{k-2}", "h_{k-1}", "h_k", "h_{k+1}")
 
 
-def consistency_coefficient(spec: SecondDiffSpec, steps: Sequence[float | None]) -> ConsistencyReport:
+def consistency_coefficient(spec: SecondOperator, steps: Sequence[float | None]) -> ConsistencyReport:
     """Expansion coefficients from the four local step sizes.
 
     ``steps`` is (h_{k-2}, h_{k-1}, h_k, h_{k+1}); only the entries the
-    pair actually uses must be present.  The report sits at index 2 with
+    operator actually uses must be present.  The report sits at index 2 with
     t_k = 0.
     """
     if len(steps) != 4:
         raise ValueError(
             "steps must be the quadruple (h_{k-2}, h_{k-1}, h_k, h_{k+1}); "
-            "entries the pair does not use may be None"
+            "entries the operator does not use may be None"
         )
 
     def step(which: int) -> float:
         value = steps[which]
         if value is None:
-            raise ValueError(f"operator pair '{spec}' needs step {_STEP_NAMES[which]}, which is missing")
+            raise ValueError(f"operator '{spec}' needs step {_STEP_NAMES[which]}, which is missing")
         value = float(value)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"step {_STEP_NAMES[which]} must be positive and finite, got {value!r}")
         return value
 
     # the points under the stencil relative to t_k = 0: back through h_{k-1},
-    # h_{k-2} and forward through h_k, h_{k+1} as far as the pair reaches
+    # h_{k-2} and forward through h_k, h_{k+1} as far as the operator reaches
     lo, hi = stencil_offsets(spec)
     x = [0.0]
     for which in range(1, 1 + lo, -1):
@@ -144,16 +144,16 @@ def consistency_coefficient(spec: SecondDiffSpec, steps: Sequence[float | None])
     return _report(spec, x, 2)
 
 
-def consistency_report_at(spec: SecondDiffSpec, mesh: Mesh, k: int) -> ConsistencyReport:
-    """Consistency report for one pair at mesh index k."""
+def consistency_report_at(spec: SecondOperator, mesh: Mesh, k: int) -> ConsistencyReport:
+    """Consistency report for one second difference at mesh index k."""
     return _report(spec, _local_points(spec, mesh, k), k)
 
 
-def geometric_consistency(spec: SecondDiffSpec, alpha: float) -> float:
+def geometric_consistency(spec: SecondOperator, alpha: float) -> float:
     """Leading coefficient on a mesh with constant step ratio ``alpha``.
 
-    Equals 1 for every pair exactly when alpha == 1.  Raises ValueError
-    unless alpha, alpha**2 and alpha**3 are all positive finite floats.
+    Equals 1 for every pair exactly when alpha == 1, and for d2 always.  Raises
+    ValueError unless alpha, alpha**2 and alpha**3 are all positive finite floats.
     """
     try:
         steps = (1.0, alpha, alpha**2, alpha**3)
@@ -191,8 +191,8 @@ def first_diff_error_bound(
     return (h1**2 * sup_fwd + h0**2 * sup_bwd) / (2 * (h1 + h0))
 
 
-def stencil_weights(spec: SecondDiffSpec, mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise weights of the pair's stencil around index k.
+def stencil_weights(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise weights of the operator's stencil around index k.
 
     Returns (offsets, weights) in offset order, from :func:`stencil` on the
     mesh points under the stencil.
@@ -202,7 +202,7 @@ def stencil_weights(spec: SecondDiffSpec, mesh: Mesh, k: int) -> tuple[np.ndarra
 
 
 def expansion_prediction(
-    spec: SecondDiffSpec, f: AnalyticFunction, mesh: Mesh, k: int
+    spec: SecondOperator, f: AnalyticFunction, mesh: Mesh, k: int
 ) -> tuple[float, float]:
     """Predicted stencil value at t_k and a bound on the remainder.
 
@@ -211,7 +211,7 @@ def expansion_prediction(
     remainder collects one mean-value term per stencil point, so it is
     bounded by sum_j |w_j| |t_{k+j} - t_k|**p / p! times the supremum of
     the order-p derivative over the stencil footprint.  p = 5 on the
-    symmetric windows (c c, d+ d-, d- d+), whose odd moments vanish on
+    symmetric windows (c c, d+ d-, d- d+, d2), whose odd moments vanish on
     uniform meshes, and p = 4 otherwise.
     """
     lo, hi = stencil_offsets(spec)

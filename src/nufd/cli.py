@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import analysis, ivp, presets
-from .diffops import SecondDiffSpec, WindowError, derivative_order
+from .diffops import WindowError, derivative_order
 from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
 
@@ -122,16 +122,16 @@ def diff(ctx, mesh_spec: str, function_spec: str, operator_spec: str, order: int
 
 
 @main.command()
-@click.option("--spec", "operator_spec", required=True, help="Ordered pair, e.g. 'd+ d+'.")
+@click.option("--spec", "operator_spec", required=True, help="Second difference: an ordered pair, e.g. 'd+ d+', or d2.")
 @click.option("--mesh", "mesh_spec", default=None, help="Mesh spec string.")
 @click.option("--k", "index", type=int, default=None, help="Mesh index for the report.")
 @click.option("--alpha", "alpha_spec", default=None, help="Constant step ratio instead of a mesh.")
 @click.pass_context
 def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | None, alpha_spec: str | None) -> None:
-    """Report the leading expansion coefficients of an operator pair."""
+    """Report the leading expansion coefficients of a second difference."""
     op = parse_operator(operator_spec)
-    if not isinstance(op, SecondDiffSpec):
-        raise SpecError(f"consistency reports need an ordered pair, got {operator_spec!r}")
+    if derivative_order(op) != 2:
+        raise SpecError(f"consistency reports need a second difference, got {operator_spec!r}")
     if alpha_spec is not None:
         alpha = parse_number(alpha_spec)
         coefficient = analysis.geometric_consistency(op, alpha)
@@ -189,7 +189,7 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
 @click.option("--kappa", "kappa_spec", default="4pi^2", show_default=True, help="Stiffness constant.")
 @click.option("--mesh", "mesh_spec", required=True, help="Mesh spec string.")
 @click.option("--operator", "operator_spec", default="d- d+", show_default=True,
-              help="'d- d+' or 'd2'.")
+              help="'d- d+', 'd+ d-' or 'd2'.")
 @click.option("--initial-value", type=float, default=1.0, show_default=True)
 @click.option("--initial-slope", type=float, default=-1.0, show_default=True)
 @click.pass_context

@@ -1,9 +1,9 @@
 """Difference operators on grid functions with explicit index windows.
 
 First differences come in three kinds (forward, backward, central); second
-differences are ordered compositions of two first differences.  Every
-operation records exactly which mesh indices its output covers, because
-the nine compositions shrink windows differently.
+differences are ordered compositions of two first differences or the
+corrected stencil d2.  Every operation records exactly which mesh indices
+its output covers, because the operators shrink windows differently.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Any, Sequence, Union
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -19,11 +19,14 @@ from .mesh import Mesh
 
 __all__ = [
     "WindowError",
+    "UnmarchableOperatorError",
     "FirstDiffKind",
     "SecondDiffSpec",
+    "CorrectedSecondDiff",
     "GridFunction",
     "ALL_SECOND_SPECS",
     "D2_CORRECTED",
+    "SecondOperator",
     "Operator",
     "first_difference",
     "second_difference",
@@ -32,11 +35,16 @@ __all__ = [
     "d2_corrected",
     "apply_operator",
     "derivative_order",
+    "slope_jump_divisors",
 ]
 
 
 class WindowError(ValueError):
     """Raised when a grid function spans too few points for an operator."""
+
+
+class UnmarchableOperatorError(ValueError):
+    """Raised for an operator that is not a slope jump (see slope_jump_divisors)."""
 
 
 class FirstDiffKind(enum.Enum):
@@ -68,8 +76,8 @@ class SecondDiffSpec:
         return f"{self.outer.value} {self.inner.value}"
 
     @functools.cached_property
-    def plan(self) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """(lo, hi, positions, rows): the pair's stencil structure, built once.
+    def plan(self) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...], float]:
+        """(lo, hi, positions, rows, share): the stencil structure, built once.
 
         ``positions`` index x = t_{k+lo} .. t_{k+hi}: the outer difference's
         b and a, then the inner difference's b and a around each of them,
@@ -77,22 +85,33 @@ class SecondDiffSpec:
         ``rows`` pairs each offset the stencil touches, in offset order,
         with its term in :func:`stencil`: product 0..3 added to 0.0, or 4
         when products 1 and 2 land on one offset and add in that order.
+        The outer divisor is (x[a] - x[b]) / ``share``; a pair's share is 1.
         """
         (ob, oa), (ib, ia) = self.outer.offsets, self.inner.offsets
         landing = (ob + ib, ob + ia, oa + ib, oa + ia)
         lo = landing[0]
         rows = tuple((j, 4 if landing[1] == j == landing[2] else landing.index(j)) for j in sorted(set(landing)))
-        return lo, landing[3], (ob - lo, oa - lo, *(j - lo for j in landing)), rows
+        return lo, landing[3], (ob - lo, oa - lo, *(j - lo for j in landing)), rows, 1.0
+
+
+@dataclass(frozen=True)
+class CorrectedSecondDiff:
+    """d2 = (D+ - D-) / ((h_{k-1} + h_k) / 2): d- d+'s plan over (t_{k+1} - t_{k-1}) / 2, not h_{k-1}."""
+
+    plan = (-1, 1, (0, 2, 0, 1, 1, 2), ((-1, 0), (0, 4), (1, 3)), 2.0)
+
+    def __str__(self) -> str:
+        return "d2"
 
 
 ALL_SECOND_SPECS: tuple[SecondDiffSpec, ...] = tuple(
     SecondDiffSpec(outer, inner) for outer in FirstDiffKind for inner in FirstDiffKind
 )
 
-# Marker for the step-averaged corrected second difference (see d2_corrected).
-D2_CORRECTED = "d2"
+D2_CORRECTED = CorrectedSecondDiff()
 
-Operator = Union[FirstDiffKind, SecondDiffSpec, str]
+SecondOperator = SecondDiffSpec | CorrectedSecondDiff
+Operator = FirstDiffKind | SecondOperator
 
 
 @dataclass(frozen=True)
@@ -181,22 +200,22 @@ def second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
     return first_difference(spec.outer, first_difference(spec.inner, u))
 
 
-def stencil_offsets(op: FirstDiffKind | SecondDiffSpec) -> tuple[int, int]:
+def stencil_offsets(op: Operator) -> tuple[int, int]:
     """Smallest and largest index offset the operator's stencil touches."""
     if isinstance(op, FirstDiffKind):
         return op.offsets
-    if not isinstance(op, SecondDiffSpec):
-        raise TypeError(f"no composed stencil for operator {op!r}")
+    if not isinstance(op, SecondOperator):
+        raise TypeError(f"no stencil for operator {op!r}")
     return op.plan[:2]
 
 
-def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int, Any], ...]:
-    """Pointwise weights ((offset, weight), ...) of a first difference or a pair.
+def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
+    """Pointwise weights ((offset, weight), ...) of an operator.
 
     ``x`` holds the mesh points t_{k+lo} .. t_{k+hi}, with (lo, hi) from
     ``stencil_offsets(op)``.  Its entries may be floats, giving the stencil
     at one index k, or equal-length arrays, giving one stencil per row.  A
-    pair's weights are the products of its two first differences' weights
+    second difference's weights are products of outer and inner weights
     (arbitrary-grid weights as in Fornberg, Math. Comp. 51, 1988), so
     sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
     The pairs come in offset order, one per point the stencil touches.
@@ -205,10 +224,10 @@ def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int,
         b, a = op.offsets
         w = 1.0 / (x[a - b] - x[0])
         return (b, -w), (a, w)
-    if not isinstance(op, SecondDiffSpec):
-        raise TypeError(f"no composed stencil for operator {op!r}")
-    _, _, (ob, oa, bb, ba, ab, aa), rows = op.plan
-    w = 1.0 / (x[oa] - x[ob])
+    if not isinstance(op, SecondOperator):
+        raise TypeError(f"no stencil for operator {op!r}")
+    _, _, (ob, oa, bb, ba, ab, aa), rows, share = op.plan
+    w = share / (x[oa] - x[ob])
     wb = w * (1.0 / (x[ba] - x[bb]))
     wa = w * (1.0 / (x[aa] - x[ab]))
     nb = 0.0 - wb
@@ -216,21 +235,32 @@ def stencil(op: FirstDiffKind | SecondDiffSpec, x: Sequence) -> tuple[tuple[int,
     return tuple([(j, terms[i]) for j, i in rows])
 
 
-def d2_corrected(u: GridFunction) -> GridFunction:
-    """Step-averaged second difference (D+ - D-) / ((h_{k-1} + h_k)/2).
+def slope_jump_divisors(op: Operator, h: np.ndarray) -> np.ndarray:
+    """c_k at k = 1 .. n-2 from the steps h, for a stencil on k-1, k, k+1 that is a slope jump.
 
-    Unlike the nine compositions, this stencil stays first-order accurate
-    on arbitrary meshes; it reduces to the classic three-point stencil
-    when the steps are equal.
+    That is (V_k - V_{k-1}) / c_k with forward differences V_k = (u_{k+1} - u_k) / h_k,
+    and c_k = 1 / (w_{+1} h_k) is the plan's outer divisor: the steps the outer difference
+    spans over its share, h_{k-1} for d- d+, h_k for d+ d- and (h_{k-1} + h_k) / 2 for d2.
+    Any other operator raises UnmarchableOperatorError.
+    """
+    lo, hi, positions, _, share = getattr(op, "plan", (0, 0, (), (), 1.0))
+    if (lo, hi, positions[2:]) != (-1, 1, (0, 1, 1, 2)):
+        raise UnmarchableOperatorError(f"cannot march '{op}': the march takes d- d+, d+ d- and d2")
+    spanned = (h[:-1], h[1:])[positions[0] : positions[1]]
+    return sum(spanned[1:], spanned[0]) / share
+
+
+def d2_corrected(u: GridFunction) -> GridFunction:
+    """Apply D2_CORRECTED on arrays: the slope jump D+ - D- over (h_{k-1} + h_k) / 2.
+
+    Unlike the nine compositions it is first-order accurate on any mesh; equal steps give
+    (u_{k+1} - 2 u_k + u_{k-1}) / h**2.
     """
     _require(u, 3, "corrected second difference")
-    t = u.t
-    v = u.values
-    h = t[1:] - t[:-1]
-    hkm1, hk = h[:-1], h[1:]
-    dplus = (v[2:] - v[1:-1]) / hk
-    dminus = (v[1:-1] - v[:-2]) / hkm1
-    return GridFunction(u.mesh, u.first_index + 1, (dplus - dminus) / ((hkm1 + hk) / 2))
+    h = u.t[1:] - u.t[:-1]
+    slopes = (u.values[1:] - u.values[:-1]) / h
+    jumps = slopes[1:] - slopes[:-1]
+    return GridFunction(u.mesh, u.first_index + 1, jumps / slope_jump_divisors(D2_CORRECTED, h))
 
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
@@ -239,7 +269,7 @@ def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
         return first_difference(op, u)
     if isinstance(op, SecondDiffSpec):
         return second_difference(op, u)
-    if op == D2_CORRECTED:
+    if isinstance(op, CorrectedSecondDiff):
         return d2_corrected(u)
     raise TypeError(f"unknown operator {op!r}")
 
@@ -248,6 +278,6 @@ def derivative_order(op: Operator) -> int:
     """Order of derivative an operator approximates (1 or 2)."""
     if isinstance(op, FirstDiffKind):
         return 1
-    if isinstance(op, SecondDiffSpec) or op == D2_CORRECTED:
+    if isinstance(op, SecondOperator):
         return 2
     raise TypeError(f"unknown operator {op!r}")

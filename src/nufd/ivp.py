@@ -1,19 +1,16 @@
 """Explicit marching for the oscillator difference equation u'' = -kappa*u.
 
-The second derivative is replaced either by the backward-of-forward
-composition d- d+ or by the step-averaged corrected stencil d2.  Both are
-marched in value–slope form: with the forward difference
+The second derivative is replaced by d- d+, d+ d- or the corrected stencil
+d2, each marched in value–slope form: with the forward difference
 v_k = (w_{k+1} - w_k) / h_k, the stencil equation at interior k reads
 (v_k - v_{k-1}) / c_k = -kappa * w_k, and each step is
 
     v_k     = v_{k-1} - kappa * c_k * w_k
     w_{k+1} = w_k + h_k * v_k
 
-with c_k = h_{k-1} for d- d+ and c_k = (h_{k-1} + h_k) / 2 for d2.  That
-vector is the only thing the operator decides.
-
-The first derivative in the initial data is approximated by a forward
-difference, so v_0 = slope and w_1 = w_0 + h_0 * slope.
+with c_k from the operator's stencil (:func:`nufd.diffops.slope_jump_divisors`);
+that vector is the only thing the operator decides.  The initial slope enters
+through a forward difference, so v_0 = slope and w_1 = w_0 + h_0 * slope.
 
 Each step is a linear map of (w_k, v_{k-1}) with unit determinant, so the
 march is a chunked linear scan (Blelloch, *Prefix sums and their
@@ -41,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import consistency_report_at
-from .diffops import D2_CORRECTED, FirstDiffKind, GridFunction, SecondDiffSpec
+from .diffops import FirstDiffKind, GridFunction, SecondDiffSpec, SecondOperator, slope_jump_divisors
 from .functions import _oscillator, sample
 from .mesh import Mesh
 from .metrics import SldSeries, scaled_local_difference
@@ -54,18 +50,10 @@ __all__ = [
     "MarchDivergedError",
     "MarchUnstableError",
     "solve",
-    "effective_equation_factor",
 ]
 
 # The composition used in the model discretization: D- applied to D+.
 BACKWARD_FORWARD = SecondDiffSpec(FirstDiffKind.BACKWARD, FirstDiffKind.FORWARD)
-
-# c_k for interior k = 1 .. n-2 from the mesh steps h: the divisor of the
-# slope jump in each marchable operator's stencil equation.
-_SLOPE_JUMP_WEIGHTS = {
-    BACKWARD_FORWARD: lambda h: h[:-1],
-    D2_CORRECTED: lambda h: (h[:-1] + h[1:]) / 2,
-}
 
 
 class MarchDivergedError(ValueError):
@@ -82,7 +70,7 @@ class MarchDivergedError(ValueError):
 
 
 class MarchUnstableError(ValueError):
-    """Raised when a finite march on a uniform mesh has kappa*h**2 > 4."""
+    """Raised when a finite march has kappa*c_k*h_k > 4 at some step k."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +79,7 @@ class IvpProblem:
 
     kappa: float
     mesh: Mesh
-    operator: SecondDiffSpec | str = BACKWARD_FORWARD
+    operator: SecondOperator = BACKWARD_FORWARD
     initial_value: float = 1.0
     initial_slope: float = -1.0
 
@@ -102,11 +90,7 @@ class IvpProblem:
             raise ValueError("marching needs a mesh with at least 3 points")
         if not (math.isfinite(self.initial_value) and math.isfinite(self.initial_slope)):
             raise ValueError("the initial value and slope must be finite")
-        if self.operator not in _SLOPE_JUMP_WEIGHTS:
-            raise ValueError(
-                f"unsupported operator {self.operator!r}; "
-                f"use the d- d+ composition or {D2_CORRECTED!r}"
-            )
+        slope_jump_divisors(self.operator, self.mesh.steps[:2])  # or UnmarchableOperatorError
 
 
 @dataclass(frozen=True)
@@ -176,14 +160,9 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
 def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolution:
     """March the difference equation across the whole mesh.
 
-    Each interior step k updates the forward difference and then the value,
-
-        v_k = v_{k-1} - kappa * c_k * w_k,    w_{k+1} = w_k + h_k * v_k,
-
-    with c_k = h_{k-1} for the d- d+ composition and (h_{k-1} + h_k) / 2
-    for the corrected stencil, which is the explicit solve of the stencil
-    equation for w_{k+1}.  The steps are marched in blocks, as the module
-    docstring describes.
+    Each interior step k is the explicit solve of the stencil equation for
+    w_{k+1} in value–slope form, marched in blocks as the module docstring
+    describes.
 
     By default the march starts from v_0 = initial_slope, so that
     w_1 = w_0 + h_0 * initial_slope (the forward-difference start).
@@ -192,9 +171,9 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     and v_0 = (w_1 - w_0) / h_0.
 
     Raises MarchDivergedError, without numpy overflow warnings, when the
-    march overflows, and MarchUnstableError when a finite march on a uniform
-    mesh has kappa*h**2 > 4 (a criterion exact only on uniform meshes) and
-    data (w_0, w_1) not both zero.  Zero data gives exact zeros on any mesh.
+    march overflows, and MarchUnstableError when a finite march with data
+    (w_0, w_1) not both zero has kappa*c_k*h_k > 4, a hyperbolic step, at some
+    k (kappa*h**2 > 4 on a uniform mesh).  Zero data gives exact zeros on any mesh.
     """
     mesh = problem.mesh
     kappa = problem.kappa
@@ -208,15 +187,19 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     else:
         w1 = second_value
         v0 = (w1 - w0) / h[0]
-    growth = kappa * _SLOPE_JUMP_WEIGHTS[problem.operator](h)
+    growth = kappa * slope_jump_divisors(problem.operator, h)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _march(float(w0), float(w1), float(v0), h[1:], growth)
+        growth_h = growth * h[1:]  # kappa*c_k*h_k
+    worst = float(growth_h.max())
     finite = np.isfinite(w)
     if not finite.all():
         index = int(np.argmin(finite))
-        raise MarchDivergedError(index, float(mesh.points[index]), float(np.max(growth * h[1:])))
-    if (w0 or w1) and mesh.is_uniform() and (kappa_h2 := kappa * float(h[0]) ** 2) > 4:
-        raise MarchUnstableError(f"the march is unstable: kappa*h**2 = {kappa_h2:.6g} exceeds the stability limit 4")
+        raise MarchDivergedError(index, float(mesh.points[index]), worst)
+    if (w0 or w1) and worst > 4:
+        k = 1 + int(np.argmax(growth_h > 4))
+        raise MarchUnstableError(f"the march is unstable: kappa*h**2 = {worst:.6g} exceeds the stability limit 4 "
+                                 f"(max of kappa*c_k*h_k; first above 4 at k = {k}, t = {mesh.points[k]:.6g})")
 
     numeric = GridFunction(mesh, 0, w)
     phi = _oscillator(kappa, problem.initial_value, problem.initial_slope, t0=mesh.a)
@@ -225,16 +208,3 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
         return IvpSolution(w=numeric, exact=exact, sld=None)
     return IvpSolution(w=numeric, exact=exact, sld=scaled_local_difference(exact, numeric))
 
-
-def effective_equation_factor(problem: IvpProblem, k: int) -> float:
-    """Leading f'' coefficient (h_k + h_{k-1}) / (2 h_{k-1}) at interior k.
-
-    This is the factor by which the d- d+ marching actually rescales the
-    second derivative, so on a constant-ratio mesh the scheme discretizes
-    ((1+r)/2) * psi'' = -kappa * psi instead of the intended equation.
-    """
-    if problem.operator != BACKWARD_FORWARD:
-        raise ValueError("the effective equation factor applies to the d- d+ composition only")
-    if not 1 <= k <= problem.mesh.m:
-        raise ValueError(f"index {k} is not interior to the mesh")
-    return consistency_report_at(BACKWARD_FORWARD, problem.mesh, k).leading_coefficient

@@ -177,7 +177,7 @@ def parse_operator(text: str) -> Operator:
     parts = text.split()
     if len(parts) == 1:
         name = parts[0]
-        if name == D2_CORRECTED:
+        if name == "d2":
             return D2_CORRECTED
         if name in _FIRST_BY_NAME:
             return _FIRST_BY_NAME[name]

@@ -104,12 +104,12 @@ def long_double_march(t: np.ndarray, kappa: float, value: float, slope: float, o
                       second_value: float | None = None) -> np.ndarray:
     """The oscillator march as a point-by-point three-term recurrence in long double.
 
-    ``op`` is "d- d+" or "d2".  This is the paper's explicit solve of the
-    three-point stencil equation for w_{k+1}, kept as an independent oracle
-    for the blocked value–slope march.  The start is w_1 = w_0 + h_0 * slope
-    unless ``second_value`` gives w_1.
+    ``op`` is "d- d+", "d+ d-" or "d2".  This is the paper's explicit solve
+    of the three-point stencil equation for w_{k+1}, kept as an independent
+    oracle for the blocked value–slope march.  The start is
+    w_1 = w_0 + h_0 * slope unless ``second_value`` gives w_1.
     """
-    if op not in ("d- d+", "d2"):
+    if op not in ("d- d+", "d+ d-", "d2"):
         raise ValueError(op)
     h = np.diff(np.asarray(t, dtype=np.longdouble))
     kap = np.longdouble(kappa)
@@ -120,6 +120,8 @@ def long_double_march(t: np.ndarray, kappa: float, value: float, slope: float, o
         hm, hp = h[k - 1], h[k]
         if op == "d2":
             w[k + 1] = w[k] + hp * ((w[k] - w[k - 1]) / hm - kap * w[k] * (hm + hp) / 2)
+        elif op == "d+ d-":
+            w[k + 1] = w[k] + hp * ((w[k] - w[k - 1]) / hm - kap * hp * w[k])
         else:
             w[k + 1] = ((hp + hm) * w[k] - hp * w[k - 1] - kap * w[k] * hp * hm * hm) / hm
     return w

@@ -109,6 +109,23 @@ class TestConsistencyCommand:
         doc = json.loads((tmp_path / "consistency.json").read_text())
         assert doc["leading_coefficient"] == pytest.approx(0.75, rel=1e-12)
 
+    def test_d2_is_consistent_on_the_paper_mesh(self, runner, tmp_path):
+        result = run(
+            runner, "--out", tmp_path, "consistency",
+            "--spec", "d2", "--mesh", "geometric:0,0.1,50/59,200", "--k", 100,
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "consistency.json").read_text())
+        assert doc["spec"] == "d2"
+        assert doc["leading_coefficient"] == pytest.approx(1.0, rel=1e-12)
+        assert doc["consistent"] is True
+
+    def test_d2_is_consistent_at_any_ratio(self, runner, tmp_path):
+        result = run(runner, "--out", tmp_path, "consistency", "--spec", "d2", "--alpha", 2.0)
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "consistency.json").read_text())
+        assert doc["leading_coefficient"] == pytest.approx(1.0, rel=1e-12)
+
     def test_needs_pair(self, runner, tmp_path):
         result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+", "--alpha", 2.0)
         assert result.exit_code != 0
@@ -167,6 +184,20 @@ class TestOscillatorCommand:
             "--mesh", "uniform:0,1,11", "--operator", "d+ d+",
         )
         assert result.exit_code != 0
+        assert "cannot march 'd+ d+'" in result.output
+
+    def test_forward_backward_operator(self, runner, tmp_path):
+        result = run(runner, "--out", tmp_path, "oscillator", "--mesh", "uniform:0,59/90,11", "--operator", "d+ d-")
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "oscillator_summary.json").read_text())
+        assert doc["operator"] == "d+ d-"
+        assert doc["sgei"] == pytest.approx(0.1945, abs=0.02)
+
+    def test_unstable_march_on_a_geometric_mesh_is_reported(self, runner, tmp_path):
+        result = run(runner, "--out", tmp_path, "oscillator", "--kappa", "1e6", "--mesh", "geometric:0,0.1,1.01,10")
+        assert result.exit_code == 1
+        assert "the march is unstable" in result.output
+        assert "k = 1, t = 0.1" in result.output
 
     def test_diverging_march_is_reported(self, runner, tmp_path):
         result = run(

@@ -14,6 +14,7 @@ from nufd import (
     SecondDiffSpec,
     WindowError,
     apply_operator,
+    build_geometric,
     build_uniform,
     d2_corrected,
     first_difference,
@@ -223,11 +224,28 @@ class TestClosedStencils:
             assert np.all(np.abs(closed - composed) <= 8 * EPS * scale)
 
     def test_unsupported_pair_rejected(self):
-        # the step-averaged stencil is not a composition of two first differences
+        # the name "d2" is text, not an operator; parse_operator turns it into D2_CORRECTED
         with pytest.raises(TypeError):
-            stencil_offsets(D2_CORRECTED)
+            stencil_offsets("d2")
         with pytest.raises(TypeError):
-            stencil(D2_CORRECTED, [0.0, 0.5, 1.0])
+            stencil("d2", [0.0, 0.5, 1.0])
+
+    def test_d2_weights_are_the_closed_form(self):
+        # 2/(h_{k-1}(h_{k-1}+h_k)), -2/(h_{k-1}h_k), 2/(h_k(h_{k-1}+h_k))
+        rng = np.random.default_rng(11)
+        points = np.cumsum(rng.uniform(0.01, 2.0, (3, 60)), axis=0)
+        hm, hp = points[1] - points[0], points[2] - points[1]
+        closed = (2 / (hm * (hm + hp)), -2 / (hm * hp), 2 / (hp * (hm + hp)))
+        assert stencil_offsets(D2_CORRECTED) == (-1, 1)
+        rows = stencil(D2_CORRECTED, list(points))
+        assert [j for j, _ in rows] == [-1, 0, 1]
+        for (_, w), want in zip(rows, closed):
+            assert np.all(np.abs(w - want) <= 8 * EPS * np.abs(want))
+        for i in range(points.shape[1]):
+            row = stencil(D2_CORRECTED, points[:, i].tolist())
+            # a float row is the array row's column, bit for bit
+            assert [(j, type(w)) for j, w in row] == [(-1, float), (0, float), (1, float)]
+            assert [w for _, w in row] == [w[i] for _, w in rows]
 
 
 class TestStencil:
@@ -257,6 +275,24 @@ class TestCorrectedSecondDifference:
         assert a.first_index == b.first_index
         scale = stencil_scale(("d+", "d-"), m.points, u.values)
         assert np.all(np.abs(a.values - b.values) <= 8 * EPS * scale)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["jittered", "geometric"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_its_stencil_application(self, seed, family):
+        rng = np.random.default_rng(seed)
+        if family == "jittered":
+            m = random_mesh(rng, 20, lo=0.2, hi=1.8)
+        else:
+            m = build_geometric(0.0, rng.uniform(0.01, 1.0), rng.uniform(0.5, 2.0), 19)
+        u = GridFunction(m, 0, rng.normal(size=m.n_points))
+        t, h, av = m.points, m.steps, np.abs(u.values)
+        k = np.arange(1, m.n_points - 1)
+        applied = sum(w * u.values[k + j] for j, w in stencil(D2_CORRECTED, [t[k - 1], t[k], t[k + 1]]))
+        # the magnitudes carried through (D+ - D-) / ((h_{k-1} + h_k) / 2)
+        scale = ((av[2:] + av[1:-1]) / h[1:] + (av[1:-1] + av[:-2]) / h[:-1]) / ((h[:-1] + h[1:]) / 2)
+        out = d2_corrected(u)
+        assert (out.first_index, len(out)) == (1, k.size)
+        assert np.all(np.abs(out.values - applied) <= 8 * EPS * scale)
 
     def test_window_too_small(self):
         u = GridFunction(build_uniform(0, 1, 2), 0, np.zeros(2))

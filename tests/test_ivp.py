@@ -12,18 +12,25 @@ from nufd import (
     MarchUnstableError,
     Mesh,
     SecondDiffSpec,
+    UnmarchableOperatorError,
+    WindowError,
     build_geometric,
     build_uniform,
     consistency_report_at,
     d2_corrected,
-    effective_equation_factor,
     make_oscillator_solution,
     second_difference,
     solve,
 )
+from nufd.diffops import slope_jump_divisors
 from nufd.presets import OSCILLATOR_KAPPA, oscillator_meshes
 
 from helpers import EPS, long_double_march, stencil_scale
+
+F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
+FORWARD_BACKWARD = SecondDiffSpec(F, B)
+# The three operators the march takes: the slope jumps (V_k - V_{k-1}) / c_k.
+MARCHABLE = [BACKWARD_FORWARD, D2_CORRECTED, FORWARD_BACKWARD]
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +116,7 @@ class TestSolve:
         np.testing.assert_array_equal(solution.exact.values, 0.0)
         assert solution.sld is None
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_zero_data_stays_zero_on_a_diverging_mesh(self, operator):
         # kappa*h**2 = 2.5e5: every block's basis overflows, and 0 * inf
         # must not turn the zero solution into NaN
@@ -123,7 +130,7 @@ class TestSolve:
         np.testing.assert_array_equal(solution.w.values, 0.0)
         assert solution.sld is None
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_diverging_march_raises_a_named_error(self, operator):
         mesh = build_uniform(0.0, 50.0, 101)
         problem = IvpProblem(kappa=1e6, mesh=mesh, operator=operator)
@@ -138,7 +145,7 @@ class TestSolve:
         assert info.value.max_growth == pytest.approx(1e6 * 0.5**2, rel=1e-12)
         assert f"from index {first_overflow}" in str(info.value)
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_finite_unstable_march_raises_a_named_error(self, operator):
         # kappa*h**2 = 1e4: the march grows to about 1e36 but stays finite
         problem = IvpProblem(kappa=1e6, mesh=build_uniform(0.0, 1.0, 11), operator=operator)
@@ -147,13 +154,29 @@ class TestSolve:
         assert isinstance(info.value, ValueError)
         assert not isinstance(info.value, MarchDivergedError)
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_march_just_inside_the_stability_limit_solves(self, operator):
         # kappa*h**2 = 3.9 on the 11-point unit mesh
         solution = solve(IvpProblem(kappa=390.0, mesh=build_uniform(0.0, 1.0, 11), operator=operator))
         assert np.all(np.isfinite(solution.w.values))
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    def test_finite_unstable_march_on_a_geometric_mesh_raises(self, operator):
+        # max kappa*c_k*h_k is about 1.2e4 and every step exceeds 4, yet the
+        # march stays finite (sgei about 1e40 for d- d+)
+        mesh = build_geometric(0.0, 0.1, 1.01, 10)
+        problem = IvpProblem(kappa=1e6, mesh=mesh, operator=operator)
+        growth_h = 1e6 * slope_jump_divisors(operator, mesh.steps) * mesh.steps[1:]
+        assert growth_h.min() > 4 and 1.2e4 < growth_h.max() < 1.23e4
+        w = long_double_march(mesh.points, 1e6, 1.0, -1.0, str(operator))
+        assert np.all(np.isfinite(w.astype(float)))
+        with pytest.raises(MarchUnstableError, match=r"kappa\*h\*\*2 = .* limit 4") as info:
+            solve(problem)
+        assert f"kappa*h**2 = {growth_h.max():.6g} exceeds" in str(info.value)
+        assert str(info.value).endswith("first above 4 at k = 1, t = 0.1)")
+        assert not isinstance(info.value, MarchDivergedError)
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     @pytest.mark.parametrize("name", ["uniform", "graded", "jittered", "geometric"])
     def test_agrees_with_a_long_double_march(self, name, operator):
         mesh = _accuracy_meshes()[name]
@@ -161,7 +184,7 @@ class TestSolve:
         reference = long_double_march(mesh.points, OSCILLATOR_KAPPA, 1.0, -1.0, str(operator))
         assert _relative_error(w, reference) <= 1e-13
 
-    @pytest.mark.parametrize("operator", [BACKWARD_FORWARD, D2_CORRECTED], ids=str)
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_second_value_is_the_exact_start(self, meshes, operator):
         geometric, _ = meshes
         phi = make_oscillator_solution(OSCILLATOR_KAPPA)
@@ -215,46 +238,63 @@ class TestSolve:
 
 
 class TestEffectiveEquationFactor:
+    """The factor by which a march rescales u'': its operator's leading coefficient.
+
+    On a constant-ratio mesh the d- d+ march discretizes ((1+r)/2) u'' = -kappa u
+    instead of the intended equation; the factor is (h_{k-1} + h_k) / (2 c_k).
+    """
+
     def test_constant_on_geometric_mesh(self, meshes):
         # deep in the tail the steps shrink to single ulps and the derived
         # ratio quantizes, so probe where the steps are still well resolved
         geometric, _ = meshes
-        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric)
         expected = (50 / 59 + 1) / 2
         for k in (1, 2, 10, 20):
-            assert effective_equation_factor(problem, k) == pytest.approx(expected, rel=1e-12)
+            factor = consistency_report_at(BACKWARD_FORWARD, geometric, k).leading_coefficient
+            assert factor == pytest.approx(expected, rel=1e-12)
 
     def test_unity_on_uniform_mesh(self, meshes):
         _, uniform = meshes
-        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=uniform)
         for k in range(1, uniform.m + 1):
-            assert effective_equation_factor(problem, k) == pytest.approx(1.0, rel=1e-13)
+            factor = consistency_report_at(BACKWARD_FORWARD, uniform, k).leading_coefficient
+            assert factor == pytest.approx(1.0, rel=1e-13)
 
     def test_doubling_mesh(self):
+        # h_{k-1} = 0.4 and h_k = 0.8 at k = 3
         mesh = build_geometric(0, 0.1, 2.0, 5)
-        problem = IvpProblem(kappa=1.0, mesh=mesh)
-        assert effective_equation_factor(problem, 3) == pytest.approx(1.5, rel=1e-13)
+        expected = {BACKWARD_FORWARD: 1.5, FORWARD_BACKWARD: 0.75, D2_CORRECTED: 1.0}
+        for operator, factor in expected.items():
+            report = consistency_report_at(operator, mesh, 3)
+            assert report.leading_coefficient == pytest.approx(factor, rel=1e-13)
 
     def test_agrees_with_the_consistency_report(self, meshes):
+        # the march's c_k and the stencil's leading coefficient are one fact:
+        # d- d+ gives (h_{k-1} + h_k) / (2 h_{k-1}), d+ d- gives
+        # (h_{k-1} + h_k) / (2 h_k) and d2 gives 1
         geometric, _ = meshes
-        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric)
-        for k in (1, 40, 123, 200):
-            report = consistency_report_at(BACKWARD_FORWARD, geometric, k)
-            assert effective_equation_factor(problem, k) == report.leading_coefficient
+        h = geometric.steps
+        for operator in MARCHABLE:
+            c = slope_jump_divisors(operator, h)
+            for k in (1, 40, 123, 200):
+                report = consistency_report_at(operator, geometric, k)
+                factor = (h[k - 1] + h[k]) / (2 * c[k - 1])
+                assert report.leading_coefficient == pytest.approx(factor, rel=1e-12)
+                if operator is D2_CORRECTED:
+                    assert report.leading_coefficient == pytest.approx(1.0, rel=1e-12)
 
     def test_invalid_index(self, meshes):
         geometric, _ = meshes
-        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric)
-        with pytest.raises(ValueError):
-            effective_equation_factor(problem, 0)
-        with pytest.raises(ValueError):
-            effective_equation_factor(problem, geometric.n_points - 1)
+        with pytest.raises(WindowError):
+            consistency_report_at(BACKWARD_FORWARD, geometric, 0)
+        with pytest.raises(WindowError):
+            consistency_report_at(BACKWARD_FORWARD, geometric, geometric.n_points - 1)
 
     def test_wrong_operator(self, meshes):
+        # only a slope jump has a march divisor c_k, and so a factor
         geometric, _ = meshes
-        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric, operator=D2_CORRECTED)
-        with pytest.raises(ValueError):
-            effective_equation_factor(problem, 3)
+        for operator in (SecondDiffSpec(F, F), SecondDiffSpec(C, C), F):
+            with pytest.raises(UnmarchableOperatorError):
+                slope_jump_divisors(operator, geometric.steps)
 
 
 class TestProblemValidation:
@@ -284,9 +324,8 @@ class TestProblemValidation:
 
     def test_rejects_unsupported_operator(self, meshes):
         geometric, _ = meshes
-        with pytest.raises(ValueError):
-            IvpProblem(
-                kappa=1.0,
-                mesh=geometric,
-                operator=SecondDiffSpec(FirstDiffKind.FORWARD, FirstDiffKind.FORWARD),
-            )
+        for operator in (SecondDiffSpec(F, F), SecondDiffSpec(C, C), SecondDiffSpec(C, B), F, "d2"):
+            with pytest.raises(UnmarchableOperatorError) as info:
+                IvpProblem(kappa=1.0, mesh=geometric, operator=operator)
+            assert isinstance(info.value, ValueError)
+            assert f"cannot march '{operator}'" in str(info.value)
