@@ -65,3 +65,6 @@ run oscillator-unstable-geometric oscillator --kappa 1e6 --mesh "geometric:0,0.1
 run oscillator-forward-backward oscillator --mesh "$paper_mesh" --operator "d+ d-"
 run fail-oscillator-unmarchable oscillator --mesh "uniform:0,1,11" --operator "c c"
 run consistency-d2-paper consistency --spec d2 --mesh "$paper_mesh" --k 100
+run diff-forward-central diff --mesh "$paper_mesh" --function "$study" --op "d+ c"
+run diff-backward-forward diff --mesh "$paper_mesh" --function "$study" --op "d- d+"
+run diff-d2-paper diff --mesh "$paper_mesh" --function "$study" --op d2

@@ -20,7 +20,6 @@ from .diffops import (
     UnmarchableOperatorError,
     WindowError,
     apply_operator,
-    d2_corrected,
     first_difference,
     second_difference,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "classify",
     "consistency_coefficient",
     "consistency_report_at",
-    "d2_corrected",
     "empirical_order",
     "expansion_prediction",
     "first_diff_error_bound",

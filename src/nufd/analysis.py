@@ -71,17 +71,23 @@ class OrderEstimate:
     sample_points: tuple[tuple[float, float], ...]
 
 
-def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> list[float]:
-    """Mesh points t_{k+lo} .. t_{k+hi} under the operator's stencil at index k."""
-    lo, hi = spec.plan[:2]
+def _offsets(spec: SecondOperator) -> tuple[int, int]:
+    """(lo, hi) of a second difference's stencil; TypeError for any other operator."""
+    if not isinstance(spec, SecondOperator):
+        raise TypeError(f"need a second difference, got {spec!r}")
+    return stencil_offsets(spec)
+
+
+def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[int, int, list[float]]:
+    """(lo, hi, x): the offsets and mesh points x = t_{k+lo} .. t_{k+hi} under the stencil at index k."""
+    lo, hi = _offsets(spec)
     if k + lo < 0 or k + hi >= len(mesh.points):
         raise WindowError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
-    return mesh.points[k + lo : k + hi + 1].tolist()
+    return lo, hi, mesh.points[k + lo : k + hi + 1].tolist()
 
 
-def _terms(spec: SecondOperator, x: list[float]) -> list[tuple[float, float]]:
-    """(w_j, t_{k+j} - t_k) for every stencil point, in offset order."""
-    lo = spec.plan[0]
+def _terms(spec: SecondOperator, x: list[float], lo: int) -> list[tuple[float, float]]:
+    """(w_j, t_{k+j} - t_k) for every stencil point, in offset order; t_k is x[-lo]."""
     tk = x[-lo]
     return [(w, x[j - lo] - tk) for j, w in stencil(spec, x)]
 
@@ -91,10 +97,10 @@ def _moment(terms: list[tuple[float, float]], p: int) -> float:
     return sum([w * d**p for w, d in terms]) / math.factorial(p)
 
 
-def _report(spec: SecondOperator, x: list[float], index: int) -> ConsistencyReport:
+def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> ConsistencyReport:
     # the moments M_2 and M_3 of _moment, from one pass over the terms
     squares, cubes = [], []
-    for w, d in _terms(spec, x):
+    for w, d in _terms(spec, x, lo):
         squares.append(w * d**2)
         cubes.append(w * d**3)
     leading = sum(squares) / 2
@@ -135,18 +141,19 @@ def consistency_coefficient(spec: SecondOperator, steps: Sequence[float | None])
 
     # the points under the stencil relative to t_k = 0: back through h_{k-1},
     # h_{k-2} and forward through h_k, h_{k+1} as far as the operator reaches
-    lo, hi = stencil_offsets(spec)
+    lo, hi = _offsets(spec)
     x = [0.0]
     for which in range(1, 1 + lo, -1):
         x.insert(0, x[0] - step(which))
     for which in range(2, 2 + hi):
         x.append(x[-1] + step(which))
-    return _report(spec, x, 2)
+    return _report(spec, x, lo, 2)
 
 
 def consistency_report_at(spec: SecondOperator, mesh: Mesh, k: int) -> ConsistencyReport:
     """Consistency report for one second difference at mesh index k."""
-    return _report(spec, _local_points(spec, mesh, k), k)
+    lo, _, x = _local_points(spec, mesh, k)
+    return _report(spec, x, lo, k)
 
 
 def geometric_consistency(spec: SecondOperator, alpha: float) -> float:
@@ -197,7 +204,7 @@ def stencil_weights(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[np.ndarra
     Returns (offsets, weights) in offset order, from :func:`stencil` on the
     mesh points under the stencil.
     """
-    offsets, weights = zip(*stencil(spec, _local_points(spec, mesh, k)))
+    offsets, weights = zip(*stencil(spec, _local_points(spec, mesh, k)[2]))
     return np.array(offsets), np.array(weights)
 
 
@@ -214,9 +221,8 @@ def expansion_prediction(
     symmetric windows (c c, d+ d-, d- d+, d2), whose odd moments vanish on
     uniform meshes, and p = 4 otherwise.
     """
-    lo, hi = stencil_offsets(spec)
-    x = _local_points(spec, mesh, k)
-    terms = _terms(spec, x)
+    lo, hi, x = _local_points(spec, mesh, k)
+    terms = _terms(spec, x, lo)
     tk = x[-lo]
     p = 5 if lo == -hi else 4
     predicted = sum(_moment(terms, q) * float(f.evaluate(q, tk)) for q in range(2, p))

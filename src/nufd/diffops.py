@@ -2,8 +2,9 @@
 
 First differences come in three kinds (forward, backward, central); second
 differences are ordered compositions of two first differences or the
-corrected stencil d2.  Every operation records exactly which mesh indices
-its output covers, because the operators shrink windows differently.
+corrected stencil d2, each applied and weighted (and, if a slope jump,
+marched) from one stencil plan.  Every operation records exactly which mesh
+indices its output covers, because the operators shrink windows differently.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "second_difference",
     "stencil_offsets",
     "stencil",
-    "d2_corrected",
     "apply_operator",
     "derivative_order",
     "slope_jump_divisors",
@@ -96,7 +96,7 @@ class SecondDiffSpec:
 
 @dataclass(frozen=True)
 class CorrectedSecondDiff:
-    """d2 = (D+ - D-) / ((h_{k-1} + h_k) / 2): d- d+'s plan over (t_{k+1} - t_{k-1}) / 2, not h_{k-1}."""
+    """d2 = (D+ - D-) / ((t_{k+1} - t_{k-1}) / 2), first-order on any mesh: d- d+'s plan over the mean step."""
 
     plan = (-1, 1, (0, 2, 0, 1, 1, 2), ((-1, 0), (0, 4), (1, 3)), 2.0)
 
@@ -191,22 +191,38 @@ def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     return GridFunction(u.mesh, u.first_index - b, (v[width:] - v[:-width]) / (t[width:] - t[:-width]))
 
 
-def second_difference(spec: SecondDiffSpec, u: GridFunction) -> GridFunction:
-    """Apply ``spec.inner`` then ``spec.outer``.
+def second_difference(op: SecondOperator, u: GridFunction) -> GridFunction:
+    """Apply a pair or d2 from its plan; for a pair, bit for bit the nested first differences."""
+    if not isinstance(op, SecondOperator):
+        raise TypeError(f"unknown second difference {op!r}")
+    lo, hi, (_, _, bb, ba, ab, _), _, _ = plan = op.plan
+    _require(u, hi - lo + 1, f"second difference '{op}'")
+    n = len(u) - (hi - lo)
+    t, v = u.t, u.values
+    width = ba - bb
+    slopes = v[width:] - v[:-width]
+    slopes /= t[width:] - t[:-width]
+    out = slopes[ab : ab + n] - slopes[bb : bb + n]
+    out /= _outer_divisor(plan, t, n)
+    return GridFunction(u.mesh, u.first_index - lo, out)
 
-    Composition is the primitive here; :func:`stencil` gives the same
-    operator as pointwise weights.
-    """
-    return first_difference(spec.outer, first_difference(spec.inner, u))
+
+def _outer_divisor(plan: tuple, t: np.ndarray, n: int) -> np.ndarray:
+    """(t_{k+a} - t_{k+b}) / share, the plan's outer divisor, for n stencils whose first reads t[0]."""
+    _, _, (ob, oa, *_), _, share = plan
+    span = t[oa : oa + n] - t[ob : ob + n]
+    span /= share
+    return span
 
 
 def stencil_offsets(op: Operator) -> tuple[int, int]:
     """Smallest and largest index offset the operator's stencil touches."""
-    if isinstance(op, FirstDiffKind):
-        return op.offsets
-    if not isinstance(op, SecondOperator):
+    # the union first: isinstance against the enum class, whose metaclass is not type, is the slower test
+    if isinstance(op, SecondOperator):
+        return op.plan[:2]
+    if not isinstance(op, FirstDiffKind):
         raise TypeError(f"no stencil for operator {op!r}")
-    return op.plan[:2]
+    return op.offsets
 
 
 def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
@@ -235,43 +251,25 @@ def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
     return tuple([(j, terms[i]) for j, i in rows])
 
 
-def slope_jump_divisors(op: Operator, h: np.ndarray) -> np.ndarray:
-    """c_k at k = 1 .. n-2 from the steps h, for a stencil on k-1, k, k+1 that is a slope jump.
+def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
+    """c_k at k = 1 .. n-2 from the mesh points t, for a stencil on k-1, k, k+1 that is a slope jump.
 
     That is (V_k - V_{k-1}) / c_k with forward differences V_k = (u_{k+1} - u_k) / h_k,
-    and c_k = 1 / (w_{+1} h_k) is the plan's outer divisor: the steps the outer difference
-    spans over its share, h_{k-1} for d- d+, h_k for d+ d- and (h_{k-1} + h_k) / 2 for d2.
-    Any other operator raises UnmarchableOperatorError.
+    and c_k = 1 / (w_{+1} h_k) is the plan's outer divisor, the one :func:`second_difference`
+    divides by: t_k - t_{k-1} for d- d+, t_{k+1} - t_k for d+ d- and (t_{k+1} - t_{k-1}) / 2
+    for d2.  Any other operator raises UnmarchableOperatorError.
     """
-    lo, hi, positions, _, share = getattr(op, "plan", (0, 0, (), (), 1.0))
+    lo, hi, positions, _, _ = plan = getattr(op, "plan", (0, 0, (), (), 1.0))
     if (lo, hi, positions[2:]) != (-1, 1, (0, 1, 1, 2)):
         raise UnmarchableOperatorError(f"cannot march '{op}': the march takes d- d+, d+ d- and d2")
-    spanned = (h[:-1], h[1:])[positions[0] : positions[1]]
-    return sum(spanned[1:], spanned[0]) / share
-
-
-def d2_corrected(u: GridFunction) -> GridFunction:
-    """Apply D2_CORRECTED on arrays: the slope jump D+ - D- over (h_{k-1} + h_k) / 2.
-
-    Unlike the nine compositions it is first-order accurate on any mesh; equal steps give
-    (u_{k+1} - 2 u_k + u_{k-1}) / h**2.
-    """
-    _require(u, 3, "corrected second difference")
-    h = u.t[1:] - u.t[:-1]
-    slopes = (u.values[1:] - u.values[:-1]) / h
-    jumps = slopes[1:] - slopes[:-1]
-    return GridFunction(u.mesh, u.first_index + 1, jumps / slope_jump_divisors(D2_CORRECTED, h))
+    return _outer_divisor(plan, t, len(t) - 2)
 
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
-    """Dispatch on first differences, compositions, or the corrected stencil."""
+    """Dispatch on first and second differences."""
     if isinstance(op, FirstDiffKind):
         return first_difference(op, u)
-    if isinstance(op, SecondDiffSpec):
-        return second_difference(op, u)
-    if isinstance(op, CorrectedSecondDiff):
-        return d2_corrected(u)
-    raise TypeError(f"unknown operator {op!r}")
+    return second_difference(op, u)
 
 
 def derivative_order(op: Operator) -> int:

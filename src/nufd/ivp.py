@@ -8,7 +8,7 @@ v_k = (w_{k+1} - w_k) / h_k, the stencil equation at interior k reads
     v_k     = v_{k-1} - kappa * c_k * w_k
     w_{k+1} = w_k + h_k * v_k
 
-with c_k from the operator's stencil (:func:`nufd.diffops.slope_jump_divisors`);
+with c_k = ``slope_jump_divisors(op, t)``, the outer divisor of the stencil;
 that vector is the only thing the operator decides.  The initial slope enters
 through a forward difference, so v_0 = slope and w_1 = w_0 + h_0 * slope.
 
@@ -64,8 +64,8 @@ class MarchDivergedError(ValueError):
         self.max_growth = max_growth
         super().__init__(
             f"the march diverged: w is not finite from index {index} (t = {t:.6g}); "
-            f"max kappa*c_k*h_k = {max_growth:.6g}, and on a uniform mesh the march "
-            f"stays bounded only while kappa*h**2 <= 4"
+            f"max kappa*c_k*h_k = {max_growth:.6g}, and on any mesh the march "
+            f"stays bounded only while kappa*c_k*h_k <= 4 at every step"
         )
 
 
@@ -90,7 +90,7 @@ class IvpProblem:
             raise ValueError("marching needs a mesh with at least 3 points")
         if not (math.isfinite(self.initial_value) and math.isfinite(self.initial_slope)):
             raise ValueError("the initial value and slope must be finite")
-        slope_jump_divisors(self.operator, self.mesh.steps[:2])  # or UnmarchableOperatorError
+        slope_jump_divisors(self.operator, self.mesh.points[:3])  # or UnmarchableOperatorError
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,7 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
 
 
 def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolution:
-    """March the difference equation across the whole mesh.
-
-    Each interior step k is the explicit solve of the stencil equation for
-    w_{k+1} in value–slope form, marched in blocks as the module docstring
-    describes.
+    """March the difference equation across the whole mesh, as the module docstring describes.
 
     By default the march starts from v_0 = initial_slope, so that
     w_1 = w_0 + h_0 * initial_slope (the forward-difference start).
@@ -187,7 +183,7 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     else:
         w1 = second_value
         v0 = (w1 - w0) / h[0]
-    growth = kappa * slope_jump_divisors(problem.operator, h)
+    growth = kappa * slope_jump_divisors(problem.operator, mesh.points)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _march(float(w0), float(w1), float(v0), h[1:], growth)
         growth_h = growth * h[1:]  # kappa*c_k*h_k

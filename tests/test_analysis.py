@@ -459,6 +459,25 @@ class TestReferenceOracle:
             assert first_diff_error_bound(C, f, mesh, k) == want
 
 
+class TestOperatorType:
+    """The second-difference views reject anything else with a TypeError naming it."""
+
+    @pytest.mark.parametrize("op", [*FirstDiffKind, "d2", None], ids=str)
+    def test_views_reject_a_non_second_difference(self, op):
+        mesh = build_uniform(0.0, 1.0, 7)
+        f = make_sinusoid(1.0, 2.0)
+        message = re.escape(f"need a second difference, got {op!r}")
+        for view in (
+            lambda: consistency_report_at(op, mesh, 3),
+            lambda: stencil_weights(op, mesh, 3),
+            lambda: expansion_prediction(op, f, mesh, 3),
+            lambda: consistency_coefficient(op, (0.1, 0.2, 0.3, 0.4)),
+            lambda: geometric_consistency(op, 1.5),
+        ):
+            with pytest.raises(TypeError, match=message):
+                view()
+
+
 class TestWindowErrors:
     """An index whose stencil does not fit raises WindowError with the window message."""
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nufd import (
     apply_operator,
     build_geometric,
     build_uniform,
-    d2_corrected,
     first_difference,
     make_polynomial,
     make_sinusoid,
@@ -25,9 +25,9 @@ from nufd import (
     second_difference,
     smoothness_ratios,
 )
-from nufd.diffops import derivative_order, stencil, stencil_offsets
+from nufd.diffops import derivative_order, slope_jump_divisors, stencil, stencil_offsets
 
-from helpers import EPS, random_mesh, stencil_scale
+from helpers import EPS, exact_uniform_mesh, random_mesh, stencil_scale
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 
@@ -259,18 +259,82 @@ class TestStencil:
                 assert np.all(np.abs(weighted - evaluated) <= 8 * EPS * scale)
 
 
+MESH_FAMILIES = ("jittered", "geometric", "offset", "uniform")
+
+
+def _family_mesh(rng, family, n_points):
+    if family == "jittered":
+        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8)
+    if family == "geometric":
+        return build_geometric(0.0, rng.uniform(0.01, 1.0), rng.uniform(0.5, 2.0), n_points - 2)
+    if family == "offset":
+        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8, start=1e6)
+    return exact_uniform_mesh(rng, n_points)
+
+
+class TestOnePlanApplication:
+    """second_difference applies every second operator from its stencil plan."""
+
+    @pytest.mark.parametrize("spec", ALL_SECOND_SPECS, ids=str)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_pair_equals_its_composition_bit_for_bit(self, spec, seed, first):
+        rng = np.random.default_rng(seed)
+        for family in MESH_FAMILIES:
+            m = _family_mesh(rng, family, 16)
+            u = GridFunction(m, first, rng.normal(size=m.n_points - first))
+            applied = second_difference(spec, u)
+            # the oracle: the pair as two nested first differences
+            composed = first_difference(spec.outer, first_difference(spec.inner, u))
+            assert (applied.first_index, len(applied)) == (composed.first_index, len(composed))
+            assert applied.values.tobytes() == composed.values.tobytes()
+
+    @pytest.mark.parametrize("op", [SecondDiffSpec(B, F), SecondDiffSpec(F, B), D2_CORRECTED], ids=str)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_slope_jump_over_the_march_divisors(self, op, seed):
+        # (V_k - V_{k-1}) / c_k with forward differences V_k: the march's equation
+        rng = np.random.default_rng(seed)
+        for family in MESH_FAMILIES:
+            m = _family_mesh(rng, family, 16)
+            t, v = m.points, rng.normal(size=m.n_points)
+            slopes = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
+            jump = (slopes[1:] - slopes[:-1]) / slope_jump_divisors(op, t)
+            out = second_difference(op, GridFunction(m, 0, v))
+            assert out.first_index == 1
+            assert out.values.tobytes() == jump.tobytes()
+
+    @pytest.mark.parametrize("op", [*ALL_SECOND_SPECS, D2_CORRECTED], ids=str)
+    def test_too_short_window_names_the_operator(self, op):
+        lo, hi = stencil_offsets(op)
+        m = build_uniform(0.0, 1.0, 9)
+        short = GridFunction(m, 2, np.zeros(hi - lo))
+        message = f"second difference '{op}' needs at least {hi - lo + 1} consecutive points, got {hi - lo}"
+        for apply in (second_difference, apply_operator):
+            with pytest.raises(WindowError, match=re.escape(message)):
+                apply(op, short)
+        out = second_difference(op, GridFunction(m, 2, np.zeros(hi - lo + 1)))
+        assert (out.first_index, len(out)) == (2 - lo, 1)
+
+    def test_rejects_anything_else(self):
+        u = GridFunction(build_uniform(0.0, 1.0, 9), 0, np.zeros(9))
+        for op in (F, "d2"):
+            with pytest.raises(TypeError, match=re.escape(repr(op))):
+                second_difference(op, u)
+
+
 class TestCorrectedSecondDifference:
     def test_exact_on_quadratics_any_mesh(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             m = random_mesh(rng, 14, lo=0.1, hi=2.0)
-            out = d2_corrected(sample(make_polynomial([1.0, -3.0, 1.0]), 0, m))
+            out = second_difference(D2_CORRECTED, sample(make_polynomial([1.0, -3.0, 1.0]), 0, m))
             np.testing.assert_allclose(out.values, 2.0, rtol=1e-11)
 
     def test_equals_forward_backward_composition_on_uniform(self):
         m = build_uniform(0, 1, 23)
         u = sample(make_sinusoid(-1.0, 4 * math.pi), 0, m)
-        a = d2_corrected(u)
+        a = second_difference(D2_CORRECTED, u)
         b = second_difference(SecondDiffSpec(F, B), u)
         assert a.first_index == b.first_index
         scale = stencil_scale(("d+", "d-"), m.points, u.values)
@@ -290,14 +354,14 @@ class TestCorrectedSecondDifference:
         applied = sum(w * u.values[k + j] for j, w in stencil(D2_CORRECTED, [t[k - 1], t[k], t[k + 1]]))
         # the magnitudes carried through (D+ - D-) / ((h_{k-1} + h_k) / 2)
         scale = ((av[2:] + av[1:-1]) / h[1:] + (av[1:-1] + av[:-2]) / h[:-1]) / ((h[:-1] + h[1:]) / 2)
-        out = d2_corrected(u)
+        out = second_difference(D2_CORRECTED, u)
         assert (out.first_index, len(out)) == (1, k.size)
         assert np.all(np.abs(out.values - applied) <= 8 * EPS * scale)
 
     def test_window_too_small(self):
         u = GridFunction(build_uniform(0, 1, 2), 0, np.zeros(2))
         with pytest.raises(WindowError):
-            d2_corrected(u)
+            second_difference(D2_CORRECTED, u)
 
     def test_beats_forward_forward_on_the_study_mesh(self):
         # consistent first-order stencil vs an inconsistent composition on
@@ -308,7 +372,7 @@ class TestCorrectedSecondDifference:
         f = make_sinusoid(-1.0, 4 * math.pi)
         u = sample(f, 0, m)
         ref = sample(f, 2, m)
-        sg_d2 = scaled_local_difference(ref, d2_corrected(u)).sgei
+        sg_d2 = scaled_local_difference(ref, second_difference(D2_CORRECTED, u)).sgei
         sg_ff = scaled_local_difference(ref, second_difference(SecondDiffSpec(F, F), u)).sgei
         assert sg_d2 < sg_ff
 

@@ -17,7 +17,6 @@ from nufd import (
     build_geometric,
     build_uniform,
     consistency_report_at,
-    d2_corrected,
     make_oscillator_solution,
     second_difference,
     solve,
@@ -96,7 +95,7 @@ class TestSolve:
         geometric, _ = meshes
         problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=geometric, operator=D2_CORRECTED)
         w = solve(problem).w
-        residual = d2_corrected(w)
+        residual = second_difference(D2_CORRECTED, w)
         target = -OSCILLATOR_KAPPA * w.restrict(1, geometric.n_points - 2).values
         h = geometric.steps
         av = np.abs(w.values)
@@ -144,6 +143,10 @@ class TestSolve:
         assert info.value.index == first_overflow
         assert info.value.max_growth == pytest.approx(1e6 * 0.5**2, rel=1e-12)
         assert f"from index {first_overflow}" in str(info.value)
+        assert str(info.value).endswith(
+            "max kappa*c_k*h_k = 250000, and on any mesh the march stays bounded only while "
+            "kappa*c_k*h_k <= 4 at every step"
+        )
 
     @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_finite_unstable_march_raises_a_named_error(self, operator):
@@ -166,7 +169,7 @@ class TestSolve:
         # march stays finite (sgei about 1e40 for d- d+)
         mesh = build_geometric(0.0, 0.1, 1.01, 10)
         problem = IvpProblem(kappa=1e6, mesh=mesh, operator=operator)
-        growth_h = 1e6 * slope_jump_divisors(operator, mesh.steps) * mesh.steps[1:]
+        growth_h = 1e6 * slope_jump_divisors(operator, mesh.points) * mesh.steps[1:]
         assert growth_h.min() > 4 and 1.2e4 < growth_h.max() < 1.23e4
         w = long_double_march(mesh.points, 1e6, 1.0, -1.0, str(operator))
         assert np.all(np.isfinite(w.astype(float)))
@@ -274,7 +277,7 @@ class TestEffectiveEquationFactor:
         geometric, _ = meshes
         h = geometric.steps
         for operator in MARCHABLE:
-            c = slope_jump_divisors(operator, h)
+            c = slope_jump_divisors(operator, geometric.points)
             for k in (1, 40, 123, 200):
                 report = consistency_report_at(operator, geometric, k)
                 factor = (h[k - 1] + h[k]) / (2 * c[k - 1])
@@ -294,7 +297,7 @@ class TestEffectiveEquationFactor:
         geometric, _ = meshes
         for operator in (SecondDiffSpec(F, F), SecondDiffSpec(C, C), F):
             with pytest.raises(UnmarchableOperatorError):
-                slope_jump_divisors(operator, geometric.steps)
+                slope_jump_divisors(operator, geometric.points)
 
 
 class TestProblemValidation:
