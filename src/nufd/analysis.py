@@ -86,25 +86,24 @@ def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[int, int, l
     return lo, hi, mesh.points[k + lo : k + hi + 1].tolist()
 
 
-def _terms(spec: SecondOperator, x: list[float], lo: int) -> list[tuple[float, float]]:
-    """(w_j, t_{k+j} - t_k) for every stencil point, in offset order; t_k is x[-lo]."""
-    tk = x[-lo]
-    return [(w, x[j - lo] - tk) for j, w in stencil(spec, x)]
-
-
-def _moment(terms: list[tuple[float, float]], p: int) -> float:
-    """sum_j w_j (t_{k+j} - t_k)**p / p!, the coefficient of f^(p)(t_k)."""
-    return sum([w * d**p for w, d in terms]) / math.factorial(p)
-
-
 def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> ConsistencyReport:
-    # the moments M_2 and M_3 of _moment, from one pass over the terms
+    """The moments M_2 and M_3, sum_j w_j (t_{k+j} - t_k)**p / p!, from one pass over the stencil row.
+
+    t_k is x[-lo].  Each moment is ``sum`` of a list in offset order, not a
+    running ``+=``: from Python 3.12 ``sum`` of floats is compensated, so
+    the two differ there, and the bitwise tests pin the ``sum`` form.
+    """
+    tk = x[-lo]
     squares, cubes = [], []
-    for w, d in _terms(spec, x, lo):
+    for j, w in stencil(spec, x):
+        d = x[j - lo] - tk
         squares.append(w * d**2)
         cubes.append(w * d**3)
     leading = sum(squares) / 2
-    return ConsistencyReport(
+    # the frozen dataclass's __init__ sets each field through object.__setattr__;
+    # filling the instance dict at once gives the same object in a third of the time
+    report = object.__new__(ConsistencyReport)
+    vars(report).update(
         spec=spec,
         index=index,
         leading_coefficient=leading,
@@ -112,6 +111,7 @@ def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> Consis
         consistent=abs(leading - 1.0) <= CONSISTENCY_TOL,
         remainder_bracket=(x[0], x[-1]),
     )
+    return report
 
 
 _STEP_NAMES = ("h_{k-2}", "h_{k-1}", "h_k", "h_{k+1}")
@@ -187,8 +187,9 @@ def first_diff_error_bound(
     if k + b < 0 or k + a >= len(mesh.points):
         raise WindowError(f"index {k} invalid for a {kind.name.lower()} difference")
     x = mesh.points[k + b : k + a + 1].tolist()
-    if kind is not FirstDiffKind.CENTRAL:
+    if a - b == 1:
         return ((x[1] - x[0]) / 2) * f.sup_abs(2, x[0], x[1])
+    # the central difference, the only one that spans two steps
     t0, t1, t2 = x
     h0, h1 = t1 - t0, t2 - t1
     if mesh.is_uniform():
@@ -222,11 +223,22 @@ def expansion_prediction(
     uniform meshes, and p = 4 otherwise.
     """
     lo, hi, x = _local_points(spec, mesh, k)
-    terms = _terms(spec, x, lo)
     tk = x[-lo]
     p = 5 if lo == -hi else 4
-    predicted = sum(_moment(terms, q) * float(f.evaluate(q, tk)) for q in range(2, p))
-    bound = sum(abs(w) * abs(d) ** p for w, d in terms) / math.factorial(p)
+    # one pass over the stencil row; lists summed as in _report
+    squares, cubes, fourths, remainders = [], [], [], []
+    for j, w in stencil(spec, x):
+        d = x[j - lo] - tk
+        squares.append(w * d**2)
+        cubes.append(w * d**3)
+        if p == 5:  # only the symmetric windows reach the fourth moment
+            fourths.append(w * d**4)
+        remainders.append(abs(w) * abs(d) ** p)
+    moments = [sum(squares) / 2, sum(cubes) / 6]
+    if p == 5:
+        moments.append(sum(fourths) / 24)
+    predicted = sum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
+    bound = sum(remainders) / math.factorial(p)
     return predicted, bound * f.sup_abs(p, x[0], x[-1])
 
 

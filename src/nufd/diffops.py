@@ -236,19 +236,20 @@ def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
     sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
     The pairs come in offset order, one per point the stencil touches.
     """
-    if isinstance(op, FirstDiffKind):
-        b, a = op.offsets
-        w = 1.0 / (x[a - b] - x[0])
-        return (b, -w), (a, w)
-    if not isinstance(op, SecondOperator):
+    # the union first, as in stencil_offsets
+    if isinstance(op, SecondOperator):
+        _, _, (ob, oa, bb, ba, ab, aa), rows, share = op.plan
+        w = share / (x[oa] - x[ob])
+        wb = w * (1.0 / (x[ba] - x[bb]))
+        wa = w * (1.0 / (x[aa] - x[ab]))
+        nb = 0.0 - wb
+        terms = (wb, nb, 0.0 - wa, wa, nb - wa)
+        return tuple([(j, terms[i]) for j, i in rows])
+    if not isinstance(op, FirstDiffKind):
         raise TypeError(f"no stencil for operator {op!r}")
-    _, _, (ob, oa, bb, ba, ab, aa), rows, share = op.plan
-    w = share / (x[oa] - x[ob])
-    wb = w * (1.0 / (x[ba] - x[bb]))
-    wa = w * (1.0 / (x[aa] - x[ab]))
-    nb = 0.0 - wb
-    terms = (wb, nb, 0.0 - wa, wa, nb - wa)
-    return tuple([(j, terms[i]) for j, i in rows])
+    b, a = op.offsets
+    w = 1.0 / (x[a - b] - x[0])
+    return (b, -w), (a, w)
 
 
 def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
@@ -267,15 +268,17 @@ def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
     """Dispatch on first and second differences."""
+    if isinstance(op, SecondOperator):
+        return second_difference(op, u)
     if isinstance(op, FirstDiffKind):
         return first_difference(op, u)
-    return second_difference(op, u)
+    raise TypeError(f"unknown operator {op!r}")
 
 
 def derivative_order(op: Operator) -> int:
     """Order of derivative an operator approximates (1 or 2)."""
-    if isinstance(op, FirstDiffKind):
-        return 1
     if isinstance(op, SecondOperator):
         return 2
+    if isinstance(op, FirstDiffKind):
+        return 1
     raise TypeError(f"unknown operator {op!r}")

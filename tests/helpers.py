@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nufd import FirstDiffKind, Mesh, SecondDiffSpec, make_polynomial, make_sinusoid
+from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, make_polynomial, make_sinusoid
 
 EPS = np.finfo(float).eps
 
@@ -137,16 +137,20 @@ _FIRST_OFFSETS = {
 
 
 def reference_stencil(op, x):
-    """Weights ((offset, weight), ...) of a first difference or a pair, composed per call.
+    """Weights ((offset, weight), ...) of a first difference, a pair or d2, composed per call.
 
     The dict-and-closure form the planned ``diffops.stencil`` replaced, kept
     as its bitwise oracle: each product of an outer and an inner weight is
     added, in the order the two loops meet it, to a sum that starts at 0.0.
+    d2 is d- d+ whose outer difference divides by the mean step
+    (t_{k+1} - t_{k-1}) / 2 in place of h_{k-1}.
     """
     if isinstance(op, FirstDiffKind):
         lo = _FIRST_OFFSETS[op][0]
     elif isinstance(op, SecondDiffSpec):
         lo = _FIRST_OFFSETS[op.outer][0] + _FIRST_OFFSETS[op.inner][0]
+    elif op is D2_CORRECTED:
+        lo = -1
     else:
         raise TypeError(op)
 
@@ -158,8 +162,13 @@ def reference_stencil(op, x):
 
     if isinstance(op, FirstDiffKind):
         return first(op, 0)
+    if op is D2_CORRECTED:
+        w = 2.0 / (x[2] - x[0])
+        outer, inner = ((-1, -w), (0, w)), FirstDiffKind.FORWARD
+    else:
+        outer, inner = first(op.outer, 0), op.inner
     weights = {}
-    for mid, w_outer in first(op.outer, 0):
-        for j, w_inner in first(op.inner, mid):
+    for mid, w_outer in outer:
+        for j, w_inner in first(inner, mid):
             weights[j] = weights.get(j, 0.0) + w_outer * w_inner
     return tuple(sorted(weights.items()))

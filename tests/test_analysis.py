@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nufd import (
     ALL_SECOND_SPECS,
+    D2_CORRECTED,
     FirstDiffKind,
     Mesh,
     SecondDiffSpec,
@@ -25,12 +27,13 @@ from nufd import (
     sample,
     second_difference,
 )
-from nufd.analysis import CONSISTENCY_TOL, stencil_offsets, stencil_weights
+from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport, stencil_offsets, stencil_weights
 from nufd.diffops import stencil
 
 from helpers import exact_uniform_mesh, jittered_family, random_mesh, reference_stencil
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
+SECOND_OPERATORS = [*ALL_SECOND_SPECS, D2_CORRECTED]
 
 
 def mesh_from_quadruple(steps):
@@ -115,6 +118,46 @@ class TestConsistencyReportAt:
             consistency_report_at(SecondDiffSpec(C, C), m, 1)
         with pytest.raises(ValueError):
             consistency_report_at(SecondDiffSpec(F, F), m, 4)
+
+
+class TestConsistencyReportContract:
+    """A report is a frozen dataclass value, however the analysis builds it."""
+
+    FIELDS = [
+        "spec", "index", "leading_coefficient", "fppp_coefficient", "consistent", "remainder_bracket",
+    ]
+
+    def report(self):
+        return consistency_report_at(SecondDiffSpec(F, F), Mesh(np.array([0.0, 0.5, 1.5, 2.0, 3.25])), 1)
+
+    def test_fields_are_frozen(self):
+        report = self.report()
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, getattr(report, name))
+
+    def test_equal_reports_hash_alike(self):
+        a, b = self.report(), self.report()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_repr(self):
+        assert repr(self.report()) == (
+            "ConsistencyReport(spec=SecondDiffSpec(outer=<FirstDiffKind.FORWARD: 'd+'>, "
+            "inner=<FirstDiffKind.FORWARD: 'd+'>), index=1, leading_coefficient=0.75, "
+            "fppp_coefficient=0.625, consistent=False, remainder_bracket=(0.5, 2.0))"
+        )
+
+    def test_field_names_and_order(self):
+        assert [field.name for field in dataclasses.fields(ConsistencyReport)] == self.FIELDS
+
+    def test_keyword_construction_gives_an_equal_report(self):
+        report = self.report()
+        built = ConsistencyReport(**{name: getattr(report, name) for name in self.FIELDS})
+        assert built == report
+        assert hash(built) == hash(report)
+        assert repr(built) == repr(report)
 
 
 class TestGeometricConsistency:
@@ -399,13 +442,14 @@ class TestReferenceOracle:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_plan_and_its_views_equal_the_reference_rows(self, family, seed):
-        # the planned stencil and every per-index view are bit-identical to the
-        # values rebuilt from the composed reference rows of tests/helpers.py
+        # the planned stencil and every per-index view, for the nine pairs and d2,
+        # are bit-identical to the values rebuilt from the composed reference rows
+        # of tests/helpers.py
         rng = np.random.default_rng(seed)
         mesh = _oracle_mesh(family, rng)
         t, h, n = mesh.points, mesh.steps, mesh.n_points
         f = make_sinusoid(rng.uniform(0.5, 2.0), rng.uniform(1.0, 8.0), rng.uniform(0.0, 6.0))
-        for op in [*FirstDiffKind, *ALL_SECOND_SPECS]:
+        for op in [*FirstDiffKind, *SECOND_OPERATORS]:
             lo, hi = stencil_offsets(op)
             ks = np.arange(-lo, n - hi)
             rows = [t[ks + j] for j in range(lo, hi + 1)]
@@ -415,7 +459,7 @@ class TestReferenceOracle:
             for k in ks.tolist():
                 x = t[k + lo : k + hi + 1].tolist()
                 assert stencil(op, x) == reference_stencil(op, x)
-        for spec in ALL_SECOND_SPECS:
+        for spec in SECOND_OPERATORS:
             lo, hi = stencil_offsets(spec)
             p = 5 if lo == -hi else 4
             for k in range(-lo, n - hi):
@@ -429,8 +473,10 @@ class TestReferenceOracle:
                 offsets, weights = stencil_weights(spec, mesh, k)
                 assert offsets.tolist() == [j for j, _ in reference_stencil(spec, x)]
                 assert weights.tolist() == [w for w, _ in terms]
+                # f^(q)(t_k) from the array path, which shares no code with the scalar one
                 predicted = sum(
-                    _oracle_moment(terms, q) * float(f.evaluate(q, x[-lo])) for q in range(2, p)
+                    _oracle_moment(terms, q) * float(f.evaluate(q, np.array([x[-lo]]))[0])
+                    for q in range(2, p)
                 )
                 bound = sum(abs(w) * abs(d) ** p for w, d in terms) / math.factorial(p)
                 assert expansion_prediction(spec, f, mesh, k) == (

@@ -346,3 +346,71 @@ class TestSupAbs:
             f.sup_abs(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             f.sup_abs(0, 1.0, 0.0)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# moderate arguments, then any float at all: huge, tiny and infinite ones too
+_SCALAR_TS = st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False))
+
+
+def _reference_sinusoid_supremum(amplitude, frequency, phase, order, lo, hi):
+    """The sinusoid's supremum as first written, with min, max and per-call powers."""
+    peak = abs(amplitude) * abs(frequency) ** order
+    ends = (frequency * lo + phase + order * math.pi / 2, frequency * hi + phase + order * math.pi / 2)
+    first, last = min(ends), max(ends)
+    if math.ceil((first - math.pi / 2) / math.pi) <= math.floor((last - math.pi / 2) / math.pi):
+        return peak
+    return peak * max(abs(math.sin(first)), abs(math.sin(last)))
+
+
+class TestScalarPath:
+    """``evaluate`` at a Python float t gives, for every factory and order, bit
+    for bit the value at the one-element array [t]; the sinusoid gets there
+    through ``math.sin``."""
+
+    @staticmethod
+    def assert_scalar_equals_array(f, t):
+        with np.errstate(all="ignore"):
+            for order in range(MAX_DERIVATIVE_ORDER + 1):
+                assert _bits(f.evaluate(order, t)) == _bits(f.evaluate(order, np.array([t]))[0])
+
+    @given(st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _SCALAR_TS)
+    @settings(max_examples=200, deadline=None)
+    def test_sinusoid(self, amplitude, frequency, phase, t):
+        f = make_sinusoid(amplitude, frequency, phase)
+        self.assert_scalar_equals_array(f, t)
+        with np.errstate(all="ignore"):
+            for order in range(MAX_DERIVATIVE_ORDER + 1):
+                value = f.evaluate(order, t)
+                # only an infinite argument of sin leaves the math path, giving nan
+                if math.isfinite(value):
+                    assert type(value) is float
+
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6), _SCALAR_TS)
+    @settings(max_examples=200, deadline=None)
+    def test_polynomial(self, coefs, t):
+        self.assert_scalar_equals_array(make_polynomial(coefs), t)
+
+    @given(
+        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
+        st.floats(-2.0, 2.0), _SCALAR_TS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_oscillator(self, kappa, value, slope, t0, t):
+        self.assert_scalar_equals_array(_oscillator(kappa, value, slope, t0), t)
+
+    @given(
+        st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0),
+        _ORDERS, _STARTS, _WIDTHS,
+    )
+    @example(1.0, 0.0, 0.3, 2, 0.1, 0.5)  # zero frequency: both ends equal
+    @example(1.0, -7.0, 0.3, 2, 0.1, 0.05)  # negative frequency: the ends swap
+    @settings(max_examples=200, deadline=None)
+    def test_sinusoid_supremum_keeps_its_min_max_form(self, amplitude, frequency, phase, order, lo, width):
+        got = make_sinusoid(amplitude, frequency, phase).sup_abs(order, lo, lo + width)
+        want = _reference_sinusoid_supremum(amplitude, frequency, phase, order, lo, lo + width)
+        assert _bits(got) == _bits(want)
+
