@@ -68,3 +68,5 @@ run consistency-d2-paper consistency --spec d2 --mesh "$paper_mesh" --k 100
 run diff-forward-central diff --mesh "$paper_mesh" --function "$study" --op "d+ c"
 run diff-backward-forward diff --mesh "$paper_mesh" --function "$study" --op "d- d+"
 run diff-d2-paper diff --mesh "$paper_mesh" --function "$study" --op d2
+run diff-forward-paper diff --mesh "$paper_mesh" --function "$study" --op d+
+run diff-backward-paper diff --mesh "$paper_mesh" --function "$study" --op d-

@@ -28,7 +28,6 @@ from .diffops import (
     WindowError,
     apply_operator,
     stencil,
-    stencil_offsets,
 )
 from .functions import AnalyticFunction, sample
 from .mesh import Mesh
@@ -72,10 +71,11 @@ class OrderEstimate:
 
 
 def _offsets(spec: SecondOperator) -> tuple[int, int]:
-    """(lo, hi) of a second difference's stencil; TypeError for any other operator."""
-    if not isinstance(spec, SecondOperator):
+    """(lo, hi) of a second difference's stencil, read from its plan; TypeError for anything else."""
+    plan = getattr(spec, "plan", None)
+    if plan is None or not plan.inner:
         raise TypeError(f"need a second difference, got {spec!r}")
-    return stencil_offsets(spec)
+    return plan.lo, plan.hi
 
 
 def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[int, int, list[float]]:
@@ -183,7 +183,7 @@ def first_diff_error_bound(
     """
     if not isinstance(kind, FirstDiffKind):
         raise TypeError(f"unknown first-difference kind {kind!r}")
-    b, a = kind.offsets
+    b, a = kind.plan.lo, kind.plan.hi
     if k + b < 0 or k + a >= len(mesh.points):
         raise WindowError(f"index {k} invalid for a {kind.name.lower()} difference")
     x = mesh.points[k + b : k + a + 1].tolist()

@@ -2,9 +2,10 @@
 
 First differences come in three kinds (forward, backward, central); second
 differences are ordered compositions of two first differences or the
-corrected stencil d2, each applied and weighted (and, if a slope jump,
-marched) from one stencil plan.  Every operation records exactly which mesh
-indices its output covers, because the operators shrink windows differently.
+corrected stencil d2.  Every operator is applied and weighted (and, if a
+slope jump, marched) from one stencil plan.  Every operation records exactly
+which mesh indices its output covers, because the operators shrink windows
+differently.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +48,31 @@ class UnmarchableOperatorError(ValueError):
     """Raised for an operator that is not a slope jump (see slope_jump_divisors)."""
 
 
+class _Plan(NamedTuple):
+    """An operator's stencil structure: the one thing diffops reads about it.
+
+    ``lo`` and ``hi`` are the smallest and largest index offsets the stencil
+    touches.  ``outer`` and ``inner`` are positions into the points under it,
+    x = t_{k+lo} .. t_{k+hi}: ``outer`` the b and a of the outer difference,
+    whose divisor is (x[a] - x[b]) / ``share``, and ``inner`` the inner
+    difference's b and a around each of them, the points of the weight
+    products bb, ba, ab, aa (signs +, -, -, +).  A first difference has no
+    inner difference.  ``rows`` pairs each offset the stencil touches, in
+    offset order, with its term in :func:`stencil`: for a first difference
+    -w or w (0 or 1); for a second difference product 0..3 added to 0.0, or
+    4 when products 1 and 2 land on one offset and add in that order.
+    """
+
+    lo: int
+    hi: int
+    outer: tuple[int, int]
+    inner: tuple[int, ...]
+    rows: tuple[tuple[int, int], ...]
+    share: float
+
+
 class FirstDiffKind(enum.Enum):
-    """The three first-order divided differences.  ``offsets`` holds the index
-    offsets (b, a) of the two points each reads: (u_a - u_b) / (t_a - t_b)."""
+    """The three first-order divided differences (u_a - u_b) / (t_a - t_b); ``plan.lo`` is b, ``plan.hi`` a."""
 
     FORWARD = ("d+", 0, 1)
     BACKWARD = ("d-", -1, 0)
@@ -58,7 +81,7 @@ class FirstDiffKind(enum.Enum):
     def __new__(cls, label: str, b: int, a: int) -> FirstDiffKind:
         kind = object.__new__(cls)
         kind._value_ = label
-        kind.offsets = (b, a)
+        kind.plan = _Plan(b, a, (0, a - b), (), ((b, 0), (a, 1)), 1.0)
         return kind
 
     def __str__(self) -> str:
@@ -76,29 +99,20 @@ class SecondDiffSpec:
         return f"{self.outer.value} {self.inner.value}"
 
     @functools.cached_property
-    def plan(self) -> tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...], float]:
-        """(lo, hi, positions, rows, share): the stencil structure, built once.
-
-        ``positions`` index x = t_{k+lo} .. t_{k+hi}: the outer difference's
-        b and a, then the inner difference's b and a around each of them,
-        the points of the weight products bb, ba, ab, aa (signs +, -, -, +).
-        ``rows`` pairs each offset the stencil touches, in offset order,
-        with its term in :func:`stencil`: product 0..3 added to 0.0, or 4
-        when products 1 and 2 land on one offset and add in that order.
-        The outer divisor is (x[a] - x[b]) / ``share``; a pair's share is 1.
-        """
-        (ob, oa), (ib, ia) = self.outer.offsets, self.inner.offsets
-        landing = (ob + ib, ob + ia, oa + ib, oa + ia)
+    def plan(self) -> _Plan:
+        """The pair's plan, built once from the offsets of its two differences; its share is 1."""
+        outer, inner = self.outer.plan, self.inner.plan
+        landing = (outer.lo + inner.lo, outer.lo + inner.hi, outer.hi + inner.lo, outer.hi + inner.hi)
         lo = landing[0]
         rows = tuple((j, 4 if landing[1] == j == landing[2] else landing.index(j)) for j in sorted(set(landing)))
-        return lo, landing[3], (ob - lo, oa - lo, *(j - lo for j in landing)), rows, 1.0
+        return _Plan(lo, landing[3], (outer.lo - lo, outer.hi - lo), tuple(j - lo for j in landing), rows, 1.0)
 
 
 @dataclass(frozen=True)
 class CorrectedSecondDiff:
     """d2 = (D+ - D-) / ((t_{k+1} - t_{k-1}) / 2), first-order on any mesh: d- d+'s plan over the mean step."""
 
-    plan = (-1, 1, (0, 2, 0, 1, 1, 2), ((-1, 0), (0, 4), (1, 3)), 2.0)
+    plan = SecondDiffSpec(FirstDiffKind.BACKWARD, FirstDiffKind.FORWARD).plan._replace(outer=(0, 2), share=2.0)
 
     def __str__(self) -> str:
         return "d2"
@@ -175,6 +189,38 @@ def _require(u: GridFunction, n: int, what: str) -> None:
         raise WindowError(f"{what} needs at least {n} consecutive points, got {len(u)}")
 
 
+def _plan(op: Operator) -> _Plan:
+    """The operator's plan; TypeError, naming it, for anything that is not an operator."""
+    try:
+        return op.plan
+    except AttributeError:
+        raise TypeError(f"unknown operator {op!r}") from None
+
+
+def _apply(op: Operator, u: GridFunction) -> GridFunction:
+    """Apply any operator from its plan: its differences over the window, then the outer divisor.
+
+    A first difference differences the values themselves; a second one
+    first takes its inner differences once over the window (inner width
+    ``ba - bb``) and differences those slopes at ``bb`` and ``ab``.  For a
+    pair these are the IEEE operations of the two nested first differences.
+    """
+    lo, hi, (jb, ja), inner, _, _ = plan = _plan(op)
+    _require(u, hi - lo + 1, f"second difference '{op}'" if inner else f"{op.name.lower()} difference")
+    n = len(u) - (hi - lo)
+    t, v = u.t, u.values
+    if inner:
+        bb, ba, ab, _ = inner
+        width = ba - bb
+        v = v[width:] - v[:-width]
+        v /= t[width:] - t[:-width]
+        jb, ja = bb, ab
+    # a new array for the quotient: dividing the jump in place ran 1.5-2x slower at n = 10**6
+    # (numpy 2.4, x86-64 Linux), for first and second differences alike
+    out = (v[ja : ja + n] - v[jb : jb + n]) / _outer_divisor(plan, t, n)
+    return GridFunction(u.mesh, u.first_index - lo, out)
+
+
 def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     """Apply one divided difference; the output window shrinks accordingly.
 
@@ -183,46 +229,29 @@ def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     """
     if not isinstance(kind, FirstDiffKind):
         raise TypeError(f"unknown first-difference kind {kind!r}")
-    b, a = kind.offsets
-    width = a - b
-    _require(u, width + 1, f"{kind.name.lower()} difference")
-    t = u.t
-    v = u.values
-    return GridFunction(u.mesh, u.first_index - b, (v[width:] - v[:-width]) / (t[width:] - t[:-width]))
+    return _apply(kind, u)
 
 
 def second_difference(op: SecondOperator, u: GridFunction) -> GridFunction:
     """Apply a pair or d2 from its plan; for a pair, bit for bit the nested first differences."""
     if not isinstance(op, SecondOperator):
         raise TypeError(f"unknown second difference {op!r}")
-    lo, hi, (_, _, bb, ba, ab, _), _, _ = plan = op.plan
-    _require(u, hi - lo + 1, f"second difference '{op}'")
-    n = len(u) - (hi - lo)
-    t, v = u.t, u.values
-    width = ba - bb
-    slopes = v[width:] - v[:-width]
-    slopes /= t[width:] - t[:-width]
-    out = slopes[ab : ab + n] - slopes[bb : bb + n]
-    out /= _outer_divisor(plan, t, n)
-    return GridFunction(u.mesh, u.first_index - lo, out)
+    return _apply(op, u)
 
 
-def _outer_divisor(plan: tuple, t: np.ndarray, n: int) -> np.ndarray:
+def _outer_divisor(plan: _Plan, t: np.ndarray, n: int) -> np.ndarray:
     """(t_{k+a} - t_{k+b}) / share, the plan's outer divisor, for n stencils whose first reads t[0]."""
-    _, _, (ob, oa, *_), _, share = plan
-    span = t[oa : oa + n] - t[ob : ob + n]
-    span /= share
+    b, a = plan.outer
+    span = t[a : a + n] - t[b : b + n]
+    if plan.share != 1.0:  # x / 1.0 is x: a share of 1 needs no pass over the array
+        span /= plan.share
     return span
 
 
 def stencil_offsets(op: Operator) -> tuple[int, int]:
     """Smallest and largest index offset the operator's stencil touches."""
-    # the union first: isinstance against the enum class, whose metaclass is not type, is the slower test
-    if isinstance(op, SecondOperator):
-        return op.plan[:2]
-    if not isinstance(op, FirstDiffKind):
-        raise TypeError(f"no stencil for operator {op!r}")
-    return op.offsets
+    plan = _plan(op)
+    return plan.lo, plan.hi
 
 
 def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
@@ -236,20 +265,17 @@ def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
     sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
     The pairs come in offset order, one per point the stencil touches.
     """
-    # the union first, as in stencil_offsets
-    if isinstance(op, SecondOperator):
-        _, _, (ob, oa, bb, ba, ab, aa), rows, share = op.plan
-        w = share / (x[oa] - x[ob])
+    _, _, (ob, oa), inner, rows, share = _plan(op)
+    w = share / (x[oa] - x[ob])
+    if inner:
+        bb, ba, ab, aa = inner
         wb = w * (1.0 / (x[ba] - x[bb]))
         wa = w * (1.0 / (x[aa] - x[ab]))
         nb = 0.0 - wb
         terms = (wb, nb, 0.0 - wa, wa, nb - wa)
-        return tuple([(j, terms[i]) for j, i in rows])
-    if not isinstance(op, FirstDiffKind):
-        raise TypeError(f"no stencil for operator {op!r}")
-    b, a = op.offsets
-    w = 1.0 / (x[a - b] - x[0])
-    return (b, -w), (a, w)
+    else:
+        terms = (-w, w)
+    return tuple([(j, terms[i]) for j, i in rows])
 
 
 def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
@@ -258,27 +284,19 @@ def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
     That is (V_k - V_{k-1}) / c_k with forward differences V_k = (u_{k+1} - u_k) / h_k,
     and c_k = 1 / (w_{+1} h_k) is the plan's outer divisor, the one :func:`second_difference`
     divides by: t_k - t_{k-1} for d- d+, t_{k+1} - t_k for d+ d- and (t_{k+1} - t_{k-1}) / 2
-    for d2.  Any other operator raises UnmarchableOperatorError.
+    for d2.  Any other operator, or anything that is not one, raises UnmarchableOperatorError.
     """
-    lo, hi, positions, _, _ = plan = getattr(op, "plan", (0, 0, (), (), 1.0))
-    if (lo, hi, positions[2:]) != (-1, 1, (0, 1, 1, 2)):
+    plan = getattr(op, "plan", None)
+    if plan is None or (plan.lo, plan.hi, plan.inner) != (-1, 1, (0, 1, 1, 2)):
         raise UnmarchableOperatorError(f"cannot march '{op}': the march takes d- d+, d+ d- and d2")
     return _outer_divisor(plan, t, len(t) - 2)
 
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
-    """Dispatch on first and second differences."""
-    if isinstance(op, SecondOperator):
-        return second_difference(op, u)
-    if isinstance(op, FirstDiffKind):
-        return first_difference(op, u)
-    raise TypeError(f"unknown operator {op!r}")
+    """Apply any first or second difference."""
+    return _apply(op, u)
 
 
 def derivative_order(op: Operator) -> int:
     """Order of derivative an operator approximates (1 or 2)."""
-    if isinstance(op, SecondOperator):
-        return 2
-    if isinstance(op, FirstDiffKind):
-        return 1
-    raise TypeError(f"unknown operator {op!r}")
+    return 2 if _plan(op).inner else 1

@@ -58,12 +58,9 @@ class AnalyticFunction:
         """max of |f^(order)(t)| over lo <= t <= hi, exact up to rounding."""
         _check_order(order)
         lo, hi = float(lo), float(hi)
-        if not lo <= hi:
-            raise ValueError(f"interval must satisfy lo <= hi, got lo={lo!r}, hi={hi!r}")
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"interval must satisfy -inf < lo <= hi < inf, got lo={lo!r}, hi={hi!r}")
         return self.supremum(order, lo, hi)
-
-    def __call__(self, t):
-        return self.evaluator(0, t)
 
 
 def _check_order(order: int) -> None:

@@ -27,8 +27,8 @@ from nufd import (
     sample,
     second_difference,
 )
-from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport, stencil_offsets, stencil_weights
-from nufd.diffops import stencil
+from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport, stencil_weights
+from nufd.diffops import stencil, stencil_offsets
 
 from helpers import exact_uniform_mesh, jittered_family, random_mesh, reference_stencil
 

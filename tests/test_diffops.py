@@ -272,8 +272,33 @@ def _family_mesh(rng, family, n_points):
     return exact_uniform_mesh(rng, n_points)
 
 
+# the points (b, a) each first difference reads, relative to its output index
+QUOTIENT_OFFSETS = {F: (0, 1), B: (-1, 0), C: (-1, 1)}
+
+
+def _quotient(kind, t, v):
+    """(v_{k+a} - v_{k+b}) / (t_{k+a} - t_{k+b}) as one explicit numpy quotient, and its shift -b."""
+    b, a = QUOTIENT_OFFSETS[kind]
+    width = a - b
+    return -b, (v[width:] - v[:-width]) / (t[width:] - t[:-width])
+
+
 class TestOnePlanApplication:
-    """second_difference applies every second operator from its stencil plan."""
+    """Every operator is applied from its stencil plan."""
+
+    @pytest.mark.parametrize("kind", list(FirstDiffKind), ids=str)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_first_difference_is_its_quotient_bit_for_bit(self, kind, seed, first):
+        rng = np.random.default_rng(seed)
+        for family in MESH_FAMILIES:
+            m = _family_mesh(rng, family, 16)
+            u = GridFunction(m, first, rng.normal(size=m.n_points - first))
+            shift, want = _quotient(kind, m.points[first:], u.values)
+            for apply in (first_difference, apply_operator):
+                out = apply(kind, u)
+                assert (out.first_index, len(out)) == (first + shift, want.size)
+                assert out.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", ALL_SECOND_SPECS, ids=str)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=3))
@@ -284,10 +309,12 @@ class TestOnePlanApplication:
             m = _family_mesh(rng, family, 16)
             u = GridFunction(m, first, rng.normal(size=m.n_points - first))
             applied = second_difference(spec, u)
-            # the oracle: the pair as two nested first differences
-            composed = first_difference(spec.outer, first_difference(spec.inner, u))
-            assert (applied.first_index, len(applied)) == (composed.first_index, len(composed))
-            assert applied.values.tobytes() == composed.values.tobytes()
+            # the oracle: the pair as two nested quotients, the outer one over the inner's points
+            t = m.points[first:]
+            inner_shift, slopes = _quotient(spec.inner, t, u.values)
+            outer_shift, want = _quotient(spec.outer, t[inner_shift : inner_shift + slopes.size], slopes)
+            assert (applied.first_index, len(applied)) == (first + inner_shift + outer_shift, want.size)
+            assert applied.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("op", [SecondDiffSpec(B, F), SecondDiffSpec(F, B), D2_CORRECTED], ids=str)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -469,3 +496,21 @@ class TestOperatorDispatch:
             apply_operator("bogus", u)
         with pytest.raises(TypeError):
             derivative_order("bogus")
+
+    def test_d2_plan_is_d_minus_d_plus_over_the_mean_step(self):
+        plan = D2_CORRECTED.plan
+        assert (plan.lo, plan.hi, plan.outer, plan.inner, plan.rows, plan.share) == (
+            -1, 1, (0, 2), (0, 1, 1, 2), ((-1, 0), (0, 4), (1, 3)), 2.0
+        )
+
+    @pytest.mark.parametrize("op", ["d2", None, 3], ids=repr)
+    def test_a_non_operator_is_named(self, op):
+        u = GridFunction(build_uniform(0.0, 1.0, 9), 0, np.zeros(9))
+        for call in (
+            lambda: stencil_offsets(op),
+            lambda: stencil(op, [0.0, 0.5, 1.0]),
+            lambda: derivative_order(op),
+            lambda: apply_operator(op, u),
+        ):
+            with pytest.raises(TypeError, match=re.escape(f"unknown operator {op!r}")):
+                call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -346,6 +347,21 @@ class TestSupAbs:
             f.sup_abs(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             f.sup_abs(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [make_sinusoid(1.0, 2.0), make_polynomial([0.0, 0.0, 1.0]), make_oscillator_solution(4.0)],
+        ids=["sinusoid", "polynomial", "oscillator"],
+    )
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.inf, math.inf),
+         (-math.inf, -math.inf), (math.nan, 1.0), (0.0, math.nan)],
+    )
+    def test_rejects_an_endpoint_that_is_not_finite(self, f, lo, hi):
+        # a bound needs a finite interval: no closed form may run, overflow or give nan
+        with pytest.raises(ValueError, match=re.escape(f"got lo={lo!r}, hi={hi!r}")):
+            f.sup_abs(0, lo, hi)
 
 
 def _bits(x) -> bytes:
