@@ -70,3 +70,5 @@ run diff-backward-forward diff --mesh "$paper_mesh" --function "$study" --op "d-
 run diff-d2-paper diff --mesh "$paper_mesh" --function "$study" --op d2
 run diff-forward-paper diff --mesh "$paper_mesh" --function "$study" --op d+
 run diff-backward-paper diff --mesh "$paper_mesh" --function "$study" --op d-
+run diff-central-pair-blocks diff --mesh "uniform:0,1,4200+insert:0.3" --function "$study" --op "c c"
+run diff-forward-blocks diff --mesh "uniform:0,1,4200+insert:0.3" --function "$study" --op d+

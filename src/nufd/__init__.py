@@ -44,7 +44,6 @@ from .mesh import (
     build_equiarclength,
     build_geometric,
     build_uniform,
-    read_mesh_csv,
     refine_insert,
     smoothness_ratios,
     write_mesh_csv,
@@ -87,7 +86,6 @@ __all__ = [
     "make_oscillator_solution",
     "make_polynomial",
     "make_sinusoid",
-    "read_mesh_csv",
     "refine_insert",
     "sample",
     "scaled_local_difference",

@@ -215,9 +215,8 @@ def _apply(op: Operator, u: GridFunction) -> GridFunction:
         v = v[width:] - v[:-width]
         v /= t[width:] - t[:-width]
         jb, ja = bb, ab
-    # a new array for the quotient: dividing the jump in place ran 1.5-2x slower at n = 10**6
-    # (numpy 2.4, x86-64 Linux), for first and second differences alike
-    out = (v[ja : ja + n] - v[jb : jb + n]) / _outer_divisor(plan, t, n)
+    out = v[ja : ja + n] - v[jb : jb + n]
+    out /= _outer_divisor(plan, t, n)
     return GridFunction(u.mesh, u.first_index - lo, out)
 
 

@@ -8,11 +8,13 @@ returns a fresh, validated instance.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import math
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,7 +31,6 @@ __all__ = [
     "build_equiarclength",
     "refine_insert",
     "smoothness_ratios",
-    "read_mesh_csv",
     "write_mesh_csv",
 ]
 
@@ -40,7 +41,7 @@ UNIFORMITY_RTOL = 1e-12
 # 17 significant digits round-trip any IEEE double exactly.
 FLOAT_FORMAT = ".17g"
 
-# Rows per write of ``_write_columns``; a block of text stays under 0.5 MB.
+# Rows per write of ``_write_tables``; a block of text stays under 0.5 MB.
 _BLOCK_ROWS = 4096
 
 
@@ -230,26 +231,50 @@ def smoothness_ratios(mesh: Mesh) -> np.ndarray:
     return h[1:] / h[:-1]
 
 
+def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) -> None:
+    """Write several CSV tables of equal length in lockstep.
+
+    Each table is ``(target, header, columns, footer)``: ``header``, one row
+    per entry of the float ``columns``, then the ``footer`` lines.  Every
+    float is written with ``FLOAT_FORMAT``.  With ``first_index`` each row
+    starts with its index, counting up from it.  Rows are formatted and
+    written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
+    A column object listed more than once is formatted once per block and
+    its cells are reused wherever it appears.
+    """
+    targets, headers, tables_columns, footers = zip(*tables)
+    every = [c for columns in tables_columns for c in columns]
+    n = len(every[0])
+    if any(len(c) != n for c in every):
+        raise ValueError(f"every column of tables written together needs {n} rows")
+    listed = Counter(map(id, every))
+    cell = "%" + FLOAT_FORMAT
+    rows = ["%d," * (first_index is not None)
+            + ",".join("%s" if listed[id(c)] > 1 else cell for c in columns) + "\n"
+            for columns in tables_columns]
+    unique = {id(c): c for c in every}
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(t, "w", newline="")) if isinstance(t, (str, Path)) else t
+                 for t in targets]
+        for fh, header in zip(files, headers):
+            fh.write(header + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            cells = {}
+            for key, c in unique.items():  # a shared column's floats are dropped once formatted
+                values = np.asarray(c[lo:hi], dtype=np.float64).tolist()
+                cells[key] = list(map(cell.__mod__, values)) if listed[key] > 1 else values
+            index = [] if first_index is None else [range(first_index + lo, first_index + hi)]
+            for fh, row, columns in zip(files, rows, tables_columns):
+                fh.write(row * (hi - lo) % tuple(chain.from_iterable(zip(*index, *(cells[id(c)] for c in columns)))))
+        for fh, footer in zip(files, footers):
+            fh.writelines(line + "\n" for line in footer)
+
+
 def _write_columns(target: str | Path | io.TextIOBase, header: str, columns: Sequence[np.ndarray],
                    *, first_index: int | None = None, footer: Sequence[str] = ()) -> None:
-    """Write ``header``, one CSV row per entry of the float ``columns``, then ``footer``.
-
-    Every float is written with ``FLOAT_FORMAT``.  With ``first_index`` each
-    row starts with its index, counting up from it.  Rows are formatted and
-    written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
-    """
-    if isinstance(target, (str, Path)):
-        with open(target, "w", newline="") as fh:
-            return _write_columns(fh, header, columns, first_index=first_index, footer=footer)
-    row = ",".join(["%" + FLOAT_FORMAT] * len(columns)) + "\n"
-    if first_index is not None:  # float64 holds every index exactly up to 2**53
-        columns = (np.arange(first_index, first_index + len(columns[0]), dtype=np.float64), *columns)
-        row = "%d," + row
-    target.write(header + "\n")
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[lo : lo + _BLOCK_ROWS] for c in columns])
-        target.write(row * len(block) % tuple(block.ravel().tolist()))
-    target.writelines(line + "\n" for line in footer)
+    """Write one table: ``_write_tables`` with the single table ``(target, header, columns, footer)``."""
+    _write_tables([(target, header, columns, footer)], first_index=first_index)
 
 
 def write_mesh_csv(mesh: Mesh, target: str | Path | io.TextIOBase) -> None:
@@ -257,22 +282,3 @@ def write_mesh_csv(mesh: Mesh, target: str | Path | io.TextIOBase) -> None:
     last = f"{mesh.n_points - 1},{mesh.b:{FLOAT_FORMAT}},"
     _write_columns(target, "k,t,h", (mesh.points[:-1], mesh.steps), first_index=0, footer=(last,))
 
-
-def read_mesh_csv(source: str | Path | io.TextIOBase) -> Mesh:
-    """Read a mesh written by :func:`write_mesh_csv`."""
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as fh:
-            return read_mesh_csv(fh)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header[:2]] != ["k", "t"]:
-        raise MeshError(f"expected mesh CSV header 'k,t,h', got {header!r}")
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            points.append(float(row[1]))
-        except (IndexError, ValueError) as exc:
-            raise MeshError(f"malformed mesh CSV row {row!r}") from exc
-    return Mesh(np.asarray(points))

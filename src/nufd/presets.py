@@ -25,6 +25,7 @@ from .mesh import (
     write_mesh_csv,
     FLOAT_FORMAT,
     _write_columns,
+    _write_tables,
 )
 from .metrics import SldSeries, classify, scaled_local_difference
 
@@ -40,7 +41,6 @@ __all__ = [
     "oscillator_meshes",
     "OSCILLATOR_KAPPA",
     "write_grid_csv",
-    "write_sld_csv",
     "write_oscillator_csv",
 ]
 
@@ -89,11 +89,9 @@ def oscillator_meshes() -> tuple[Mesh, Mesh]:
     return geometric, uniform
 
 
-def _write_series_csv(series: SldSeries, target: Path, header: str, columns: tuple) -> None:
-    """Write ``k,t,<columns>,sld`` rows of ``series`` plus its summary line."""
-    summary = f"# sgei={series.sgei:{FLOAT_FORMAT}},argmax_t={series.argmax_t:{FLOAT_FORMAT}}"
-    _write_columns(target, header, (series.t, *columns, series.sld),
-                   first_index=series.first_index, footer=(summary,))
+def _summary_line(series: SldSeries) -> str:
+    """The ``# sgei=...,argmax_t=...`` footer of a comparison CSV."""
+    return f"# sgei={series.sgei:{FLOAT_FORMAT}},argmax_t={series.argmax_t:{FLOAT_FORMAT}}"
 
 
 def write_grid_csv(grid: GridFunction, target: Path) -> None:
@@ -101,14 +99,11 @@ def write_grid_csv(grid: GridFunction, target: Path) -> None:
     _write_columns(target, "k,t,value", (grid.t, grid.values), first_index=grid.first_index)
 
 
-def write_sld_csv(series: SldSeries, target: Path) -> None:
-    """Write ``k,t,reference,approx,sld`` rows plus the summary line."""
-    _write_series_csv(series, target, "k,t,reference,approx,sld", (series.reference, series.approx))
-
-
 def write_oscillator_csv(solution: ivp.IvpSolution, target: Path) -> None:
-    columns = (solution.w.values, solution.exact.values)
-    _write_series_csv(solution.sld, target, "k,t,w,exact,sld", columns)
+    """Write ``k,t,w,exact,sld`` rows of the march against the exact motion, plus the summary line."""
+    sld = solution.sld
+    _write_columns(target, "k,t,w,exact,sld", (sld.t, solution.w.values, solution.exact.values, sld.sld),
+                   first_index=sld.first_index, footer=(_summary_line(sld),))
 
 
 _SGEI_KEYS = ("sgei", "argmax_t", "classification")
@@ -139,8 +134,14 @@ def run_custom(
     order = diffops.derivative_order(op) if derivative_order is None else derivative_order
     approx = diffops.apply_operator(op, sample(f, 0, mesh))
     series = scaled_local_difference(sample(f, order, mesh), approx)
-    write_grid_csv(approx, out_dir / f"{prefix}_grid.csv")
-    write_sld_csv(series, out_dir / f"{prefix}_sld.csv")
+    # The approximation's window is the series' own (the reference covers the whole mesh), so
+    # both files list the same t and approx objects and those cells are formatted once;
+    # ``series.t`` is a new view on each access, hence one name for it.
+    t = series.t
+    _write_tables([(out_dir / f"{prefix}_grid.csv", "k,t,value", (t, series.approx), ()),
+                   (out_dir / f"{prefix}_sld.csv", "k,t,reference,approx,sld",
+                    (t, series.reference, series.approx, series.sld), (_summary_line(series),))],
+                  first_index=series.first_index)
     return {
         "schema_version": 1,
         "operator": str(op),

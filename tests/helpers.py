@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, make_polynomial, make_sinusoid
@@ -58,6 +60,14 @@ def reference_columns_csv(header: str, columns, first_index: int | None = None,
         lines.append(",".join(cells))
     lines.extend(footer)
     return "".join(line + "\n" for line in lines)
+
+
+def read_mesh_points(path) -> Mesh:
+    """The mesh in a ``k,t,h`` CSV file: the ``t`` cell of every row, parsed by ``float``."""
+    header, *rows = Path(path).read_text().splitlines()
+    if header != "k,t,h":
+        raise ValueError(f"expected header 'k,t,h', got {header!r}")
+    return Mesh(np.array([float(row.split(",")[1]) for row in rows]))
 
 
 def random_polynomial(rng: np.random.Generator, degree: int = 3):

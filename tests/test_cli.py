@@ -1,12 +1,26 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nufd import presets
+from nufd import (
+    FirstDiffKind,
+    SecondDiffSpec,
+    apply_operator,
+    build_uniform,
+    make_sinusoid,
+    presets,
+    refine_insert,
+    sample,
+    scaled_local_difference,
+)
 from nufd.cli import main
-from nufd.mesh import read_mesh_csv
+from nufd.diffops import derivative_order
+from nufd.mesh import _BLOCK_ROWS
+
+from helpers import read_mesh_points, reference_columns_csv
 
 
 @pytest.fixture
@@ -22,7 +36,7 @@ class TestMeshCommand:
     def test_writes_round_trippable_csv(self, runner, tmp_path):
         result = run(runner, "--out", tmp_path, "mesh", "geometric:0,0.1,50/59,10")
         assert result.exit_code == 0, result.output
-        m = read_mesh_csv(tmp_path / "mesh.csv")
+        m = read_mesh_points(tmp_path / "mesh.csv")
         assert m.n_points == 12
         summary = json.loads((tmp_path / "mesh_summary.json").read_text())
         assert summary["schema_version"] == 1
@@ -84,6 +98,34 @@ class TestDiffCommand:
         assert result.exit_code == 0, result.output
         for kind in ("grid", "sld"):
             assert (diff / f"diff_{kind}.csv").read_bytes() == (preset / f"ex5_2_uniform_{kind}.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("spec", ["c c", "d+"])
+    def test_a_window_of_several_blocks_matches_the_per_cell_oracle(self, runner, tmp_path, spec):
+        # 8,399 points: both windows span more than two of the writer's row blocks.
+        result = run(
+            runner, "--out", tmp_path, "diff",
+            "--mesh", "uniform:0,1,4200+insert:0.3",
+            "--function", "sinusoid:amplitude=-1,frequency=4pi",
+            "--op", spec,
+        )
+        assert result.exit_code == 0, result.output
+        mesh = refine_insert(build_uniform(0.0, 1.0, 4200), 0.3)
+        f = make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
+        op = SecondDiffSpec(FirstDiffKind.CENTRAL, FirstDiffKind.CENTRAL) if spec == "c c" else FirstDiffKind.FORWARD
+        approx = apply_operator(op, sample(f, 0, mesh))
+        series = scaled_local_difference(sample(f, derivative_order(op), mesh), approx)
+        assert len(series) > 2 * _BLOCK_ROWS
+        summary = f"# sgei={format(series.sgei, '.17g')},argmax_t={format(series.argmax_t, '.17g')}"
+        want = {
+            "diff_grid.csv": reference_columns_csv("k,t,value", (approx.t, approx.values), approx.first_index),
+            "diff_sld.csv": reference_columns_csv(
+                "k,t,reference,approx,sld", (series.t, series.reference, series.approx, series.sld),
+                series.first_index, [summary],
+            ),
+        }
+        for name, text in want.items():
+            assert (tmp_path / name).read_text().split("\n") == text.split("\n")
 
 
 class TestConsistencyCommand:
