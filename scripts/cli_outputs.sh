@@ -72,3 +72,6 @@ run diff-forward-paper diff --mesh "$paper_mesh" --function "$study" --op d+
 run diff-backward-paper diff --mesh "$paper_mesh" --function "$study" --op d-
 run diff-central-pair-blocks diff --mesh "uniform:0,1,4200+insert:0.3" --function "$study" --op "c c"
 run diff-forward-blocks diff --mesh "uniform:0,1,4200+insert:0.3" --function "$study" --op d+
+run fail-function-sinusoid-parameter diff --mesh "uniform:0,1,11" --function "sinusoid:wavelength=2" --op c
+run fail-function-poly-power diff --mesh "uniform:0,1,11" --function "poly:c7=1" --op c
+run fail-function-oscillator-kappa diff --mesh "uniform:0,1,11" --function oscillator --op c

@@ -43,7 +43,6 @@ __all__ = [
     "first_diff_error_bound",
     "expansion_prediction",
     "empirical_order",
-    "stencil_weights",
 ]
 
 CONSISTENCY_TOL = 1e-12
@@ -197,16 +196,6 @@ def first_diff_error_bound(
     sup_fwd = f.sup_abs(2, t1, t2)
     sup_bwd = f.sup_abs(2, t0, t1)
     return (h1**2 * sup_fwd + h0**2 * sup_bwd) / (2 * (h1 + h0))
-
-
-def stencil_weights(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise weights of the operator's stencil around index k.
-
-    Returns (offsets, weights) in offset order, from :func:`stencil` on the
-    mesh points under the stencil.
-    """
-    offsets, weights = zip(*stencil(spec, _local_points(spec, mesh, k)[2]))
-    return np.array(offsets), np.array(weights)
 
 
 def expansion_prediction(

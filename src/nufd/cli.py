@@ -14,15 +14,16 @@ from pathlib import Path
 import click
 
 from . import analysis, ivp, presets
-from .diffops import WindowError, derivative_order
+from .diffops import derivative_order
 from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
 
-_ERRORS = (SpecError, WindowError, ValueError)
+# SpecError and WindowError subclass ValueError.
+_ERRORS = ValueError
 
 
 class _Group(click.Group):
-    """Reports any of ``_ERRORS`` raised by a command as a clean CLI error."""
+    """Reports a ``ValueError`` raised by a command as a clean CLI error."""
 
     def invoke(self, ctx: click.Context):
         try:

@@ -174,15 +174,6 @@ class GridFunction:
             raise IndexError(f"index {k} outside window [{self.first_index}, {self.last_index}]")
         return float(self.values[k - self.first_index])
 
-    def restrict(self, first_index: int, last_index: int) -> "GridFunction":
-        """The same function on the subwindow [first_index, last_index]."""
-        if first_index < self.first_index or last_index > self.last_index:
-            raise ValueError(
-                f"[{first_index}, {last_index}] is not inside [{self.first_index}, {self.last_index}]"
-            )
-        lo = first_index - self.first_index
-        return GridFunction(self.mesh, first_index, self.values[lo : last_index - self.first_index + 1])
-
 
 def _require(u: GridFunction, n: int, what: str) -> None:
     if len(u) < n:

@@ -23,7 +23,6 @@ __all__ = [
     "make_polynomial",
     "make_oscillator_solution",
     "sample",
-    "FACTORIES",
 ]
 
 # Fourth-derivative and fifth-derivative remainders are the deepest terms
@@ -217,49 +216,3 @@ def sample(f: AnalyticFunction, order: int, mesh: Mesh) -> GridFunction:
     """Sample the exact ``order``-th derivative of ``f`` at every mesh point."""
     values = np.asarray(f.evaluate(order, mesh.points), dtype=np.float64)
     return GridFunction(mesh=mesh, first_index=0, values=values)
-
-
-def _reject_unknown(kind: str, params: dict, allowed: set[str]) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for '{kind}'; allowed: {sorted(allowed)}"
-        )
-
-
-def _sinusoid_factory(**params: float) -> AnalyticFunction:
-    _reject_unknown("sinusoid", params, {"amplitude", "frequency", "phase"})
-    return make_sinusoid(
-        amplitude=params.get("amplitude", 1.0),
-        frequency=params.get("frequency", 1.0),
-        phase=params.get("phase", 0.0),
-    )
-
-
-def _poly_factory(**params: float) -> AnalyticFunction:
-    coefs = [0.0] * (MAX_DERIVATIVE_ORDER + 1)
-    top = -1
-    for name, value in params.items():
-        if not (name.startswith("c") and name[1:].isdigit()):
-            raise ValueError(f"unknown polynomial parameter {name!r}; use c0..c5")
-        power = int(name[1:])
-        if power > MAX_DERIVATIVE_ORDER:
-            raise ValueError(f"polynomial power {power} above the supported degree 5")
-        coefs[power] = value
-        top = max(top, power)
-    return make_polynomial(coefs[: top + 1] if top >= 0 else [0.0])
-
-
-def _oscillator_factory(**params: float) -> AnalyticFunction:
-    _reject_unknown("oscillator", params, {"kappa"})
-    if "kappa" not in params:
-        raise ValueError("'oscillator' needs the parameter kappa")
-    return make_oscillator_solution(params["kappa"])
-
-
-# Registry keyed by label for command-line selection.
-FACTORIES: dict[str, Callable[..., AnalyticFunction]] = {
-    "sinusoid": _sinusoid_factory,
-    "poly": _poly_factory,
-    "oscillator": _oscillator_factory,
-}

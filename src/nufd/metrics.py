@@ -89,8 +89,8 @@ def scaled_local_difference(reference: GridFunction, approx: GridFunction) -> Sl
     )
 
 
-def classify(sgei: float, threshold: float = 1.0) -> Literal["acceptable", "unacceptable"]:
-    """An approximation is unacceptable once its sgei reaches the threshold."""
+def classify(sgei: float) -> Literal["acceptable", "unacceptable"]:
+    """An approximation is unacceptable once its sgei reaches 1."""
     if sgei < 0:
         raise ValueError(f"sgei must be nonnegative, got {sgei!r}")
-    return "unacceptable" if sgei >= threshold else "acceptable"
+    return "unacceptable" if sgei >= 1.0 else "acceptable"

@@ -16,10 +16,17 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Callable
 
 from . import mesh as meshmod
 from .diffops import D2_CORRECTED, FirstDiffKind, Operator, SecondDiffSpec
-from .functions import FACTORIES, AnalyticFunction
+from .functions import (
+    MAX_DERIVATIVE_ORDER,
+    AnalyticFunction,
+    make_oscillator_solution,
+    make_polynomial,
+    make_sinusoid,
+)
 from .mesh import Mesh
 
 __all__ = ["SpecError", "parse_number", "parse_function_spec", "parse_mesh_spec", "parse_operator"]
@@ -82,18 +89,64 @@ def _parse_params(text: str, context: str, offset: int) -> dict[str, float]:
     return params
 
 
+def _reject_unknown(kind: str, params: dict, allowed: set[str]) -> None:
+    unknown = set(params) - allowed
+    if unknown:
+        raise ValueError(
+            f"unknown parameter(s) {sorted(unknown)} for '{kind}'; allowed: {sorted(allowed)}"
+        )
+
+
+def _sinusoid_factory(**params: float) -> AnalyticFunction:
+    _reject_unknown("sinusoid", params, {"amplitude", "frequency", "phase"})
+    return make_sinusoid(
+        amplitude=params.get("amplitude", 1.0),
+        frequency=params.get("frequency", 1.0),
+        phase=params.get("phase", 0.0),
+    )
+
+
+def _poly_factory(**params: float) -> AnalyticFunction:
+    coefs = [0.0] * (MAX_DERIVATIVE_ORDER + 1)
+    top = -1
+    for name, value in params.items():
+        if not (name.startswith("c") and name[1:].isdigit()):
+            raise ValueError(f"unknown polynomial parameter {name!r}; use c0..c5")
+        power = int(name[1:])
+        if power > MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"polynomial power {power} above the supported degree 5")
+        coefs[power] = value
+        top = max(top, power)
+    return make_polynomial(coefs[: top + 1] if top >= 0 else [0.0])
+
+
+def _oscillator_factory(**params: float) -> AnalyticFunction:
+    _reject_unknown("oscillator", params, {"kappa"})
+    if "kappa" not in params:
+        raise ValueError("'oscillator' needs the parameter kappa")
+    return make_oscillator_solution(params["kappa"])
+
+
+# The function names a spec may use, each with the factory that reads its parameters.
+_FACTORIES: dict[str, Callable[..., AnalyticFunction]] = {
+    "sinusoid": _sinusoid_factory,
+    "poly": _poly_factory,
+    "oscillator": _oscillator_factory,
+}
+
+
 def parse_function_spec(text: str) -> AnalyticFunction:
     """Build an analytic function from ``name:key=value,...``."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in FACTORIES:
+    if name not in _FACTORIES:
         raise SpecError(
             f"unknown function {name!r} in {text!r} (column 1); "
-            f"known: {', '.join(sorted(FACTORIES))}"
+            f"known: {', '.join(sorted(_FACTORIES))}"
         )
     params = _parse_params(rest, text, len(name) + 1) if rest else {}
     try:
-        return FACTORIES[name](**params)
+        return _FACTORIES[name](**params)
     except ValueError as exc:
         raise SpecError(f"bad parameters in {text!r}: {exc}") from exc
 

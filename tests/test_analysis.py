@@ -27,7 +27,7 @@ from nufd import (
     sample,
     second_difference,
 )
-from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport, stencil_weights
+from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport
 from nufd.diffops import stencil, stencil_offsets
 
 from helpers import exact_uniform_mesh, jittered_family, random_mesh, reference_stencil
@@ -266,7 +266,9 @@ class TestStencilWeights:
         for spec in ALL_SECOND_SPECS:
             steps = tuple(rng.uniform(0.5, 1.5, 4))
             m = mesh_from_quadruple(steps)
-            offsets, weights = stencil_weights(spec, m, 2)
+            lo, hi = stencil_offsets(spec)
+            row = stencil(spec, m.points[2 + lo : 3 + hi].tolist())
+            offsets, weights = np.array([j for j, _ in row]), np.array([w for _, w in row])
             deltas = m.points[2 + offsets] - m.points[2]
             report = consistency_coefficient(spec, steps)
             assert np.sum(weights) == pytest.approx(0.0, abs=1e-9)
@@ -470,9 +472,9 @@ class TestReferenceOracle:
                 assert (report.leading_coefficient, report.fppp_coefficient) == (leading, fppp)
                 assert report.remainder_bracket == (x[0], x[-1])
                 assert report.consistent == (abs(leading - 1.0) <= CONSISTENCY_TOL)
-                offsets, weights = stencil_weights(spec, mesh, k)
-                assert offsets.tolist() == [j for j, _ in reference_stencil(spec, x)]
-                assert weights.tolist() == [w for w, _ in terms]
+                row = stencil(spec, x)
+                assert [j for j, _ in row] == [j for j, _ in reference_stencil(spec, x)]
+                assert [w for _, w in row] == [w for w, _ in terms]
                 # f^(q)(t_k) from the array path, which shares no code with the scalar one
                 predicted = sum(
                     _oracle_moment(terms, q) * float(f.evaluate(q, np.array([x[-lo]]))[0])
@@ -515,7 +517,6 @@ class TestOperatorType:
         message = re.escape(f"need a second difference, got {op!r}")
         for view in (
             lambda: consistency_report_at(op, mesh, 3),
-            lambda: stencil_weights(op, mesh, 3),
             lambda: expansion_prediction(op, f, mesh, 3),
             lambda: consistency_coefficient(op, (0.1, 0.2, 0.3, 0.4)),
             lambda: geometric_consistency(op, 1.5),
@@ -537,7 +538,6 @@ class TestWindowErrors:
         message = re.escape(f"index {k} is invalid for '{spec}' on a mesh with 7 points")
         for view in (
             lambda: consistency_report_at(spec, mesh, k),
-            lambda: stencil_weights(spec, mesh, k),
             lambda: expansion_prediction(spec, f, mesh, k),
         ):
             if 0 <= k + lo and k + hi <= 6:

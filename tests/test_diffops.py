@@ -58,15 +58,6 @@ class TestGridFunction:
         with pytest.raises(IndexError):
             g.value_at(5)
 
-    def test_restrict(self):
-        m = build_uniform(0, 1, 6)
-        g = GridFunction(m, 1, np.array([1.0, 2.0, 3.0, 4.0]))
-        r = g.restrict(2, 3)
-        assert r.first_index == 2
-        np.testing.assert_array_equal(r.values, [2.0, 3.0])
-        with pytest.raises(ValueError):
-            g.restrict(0, 3)
-
     def test_values_immutable(self):
         g = GridFunction(build_uniform(0, 1, 3), 0, np.zeros(3))
         with pytest.raises(ValueError):
@@ -113,7 +104,7 @@ class TestFirstDifference:
         with pytest.raises(WindowError):
             first_difference(C, u)
         with pytest.raises(WindowError):
-            first_difference(F, u.restrict(0, 0))
+            first_difference(F, GridFunction(m, 0, u.values[:1]))
 
 
 class TestShiftIdentity:
@@ -179,7 +170,7 @@ class TestSecondDifference:
         out = second_difference(SecondDiffSpec(C, C), u)
         assert (out.first_index, out.last_index) == (2, 2)
         with pytest.raises(WindowError):
-            second_difference(SecondDiffSpec(C, C), u.restrict(0, 3))
+            second_difference(SecondDiffSpec(C, C), GridFunction(m, 0, u.values[:4]))
 
     def test_all_windows_compose(self):
         m = build_uniform(0, 1, 9)
@@ -445,7 +436,9 @@ class TestCommutation:
             qp = second_difference(SecondDiffSpec(q, p), u)
             lo = max(pq.first_index, qp.first_index)
             hi = min(pq.last_index, qp.last_index)
-            gap = np.max(np.abs(pq.restrict(lo, hi).values - qp.restrict(lo, hi).values))
+            pq_common = pq.values[lo - pq.first_index : hi + 1 - pq.first_index]
+            qp_common = qp.values[lo - qp.first_index : hi + 1 - qp.first_index]
+            gap = np.max(np.abs(pq_common - qp_common))
             assert gap > 1e-8
 
 

@@ -15,7 +15,8 @@ from nufd import (
     make_sinusoid,
     sample,
 )
-from nufd.functions import FACTORIES, MAX_DERIVATIVE_ORDER, _oscillator
+from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator
+from nufd.parsing import SpecError, parse_function_spec
 
 from helpers import EPS
 
@@ -154,23 +155,27 @@ class TestDerivativeTableConsistency:
 
 
 class TestFactories:
+    """The functions that specs name, built through ``parse_function_spec``."""
+
     def test_sinusoid_factory_defaults(self):
-        f = FACTORIES["sinusoid"](amplitude=-1.0, frequency=4 * math.pi)
+        assert parse_function_spec("sinusoid").label == "sinusoid(amplitude=1,frequency=1,phase=0)"
+        f = parse_function_spec("sinusoid:amplitude=-1,frequency=4pi")
         assert f.evaluate(0, 0.125) == pytest.approx(-math.sin(math.pi / 2), abs=1e-12)
 
     def test_poly_factory_sparse_powers(self):
-        f = FACTORIES["poly"](c2=1.0)
+        f = parse_function_spec("poly:c2=1")
+        assert f.label == "poly(0,0,1)"
         assert f.evaluate(0, 3.0) == pytest.approx(9.0)
 
     def test_oscillator_factory_requires_kappa(self):
-        with pytest.raises(ValueError):
-            FACTORIES["oscillator"]()
+        with pytest.raises(SpecError):
+            parse_function_spec("oscillator")
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            FACTORIES["sinusoid"](wavelength=2.0)
-        with pytest.raises(ValueError):
-            FACTORIES["poly"](q3=1.0)
+        with pytest.raises(SpecError):
+            parse_function_spec("sinusoid:wavelength=2")
+        with pytest.raises(SpecError):
+            parse_function_spec("poly:q3=1")
 
 
 def _mp_root(fn, a, b):

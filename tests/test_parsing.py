@@ -67,6 +67,24 @@ class TestParseFunctionSpec:
         with pytest.raises(SpecError, match="key=value"):
             parse_function_spec("sinusoid:amplitude")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "sinusoid:wavelength=2",
+                "bad parameters in 'sinusoid:wavelength=2': unknown parameter(s) ['wavelength'] "
+                "for 'sinusoid'; allowed: ['amplitude', 'frequency', 'phase']",
+            ),
+            ("poly:q3=1", "bad parameters in 'poly:q3=1': unknown polynomial parameter 'q3'; use c0..c5"),
+            ("poly:c7=1", "bad parameters in 'poly:c7=1': polynomial power 7 above the supported degree 5"),
+            ("oscillator", "bad parameters in 'oscillator': 'oscillator' needs the parameter kappa"),
+        ],
+    )
+    def test_bad_parameter_message(self, text, message):
+        with pytest.raises(SpecError) as info:
+            parse_function_spec(text)
+        assert str(info.value) == message
+
 
 class TestParseMeshSpec:
     def test_uniform(self):
