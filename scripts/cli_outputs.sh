@@ -75,3 +75,6 @@ run diff-forward-blocks diff --mesh "uniform:0,1,4200+insert:0.3" --function "$s
 run fail-function-sinusoid-parameter diff --mesh "uniform:0,1,11" --function "sinusoid:wavelength=2" --op c
 run fail-function-poly-power diff --mesh "uniform:0,1,11" --function "poly:c7=1" --op c
 run fail-function-oscillator-kappa diff --mesh "uniform:0,1,11" --function oscillator --op c
+run oscillator-d2-blocks oscillator --mesh "uniform:0,1,20000" --operator d2
+run diff-backward-forward-geometric-blocks diff --mesh "geometric:0,1e-4,1.0001,19998" \
+    --function "sinusoid:frequency=4pi" --op "d- d+"

@@ -1,54 +1,89 @@
-"""Per-call timings of nufd's scalar analysis functions and of the calls that write its CSV files.
+"""Per-call timings of nufd's scalar analysis, its CSV writers, its march and its array pipeline.
 
 Usage: python3 scripts/timings.py [--src DIR ...]
 
 Each --src is a directory holding the nufd package (a checkout's src/); the
-default is this checkout's.  There are two case sets:
+default is this checkout's.  Every tree is imported once, side by side in this
+one interpreter, as the package ``nufd_<i>`` for the i-th --src.  There are
+four case sets:
 
 - scalar: each case calls one function over a fixed list of 500 argument
-  tuples built from a 2,001-point jittered mesh (seed 2001); a loop makes
+  tuples built from a 2,001-point jittered mesh (seed 2001); a call set is
   all 500 calls, so the figures include the cost of the Python loop;
 - csv: each case makes one call that writes into a temporary directory:
   ``run_custom`` with the `c c` operator against the exact second derivative
   of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7`` (39,999 points), which
   writes ``diff_grid.csv`` and ``diff_sld.csv`` as ``nufd diff`` does;
   ``run_oscillator`` with the ``d- d+`` march and kappa = 4 pi^2 on 20,000
-  uniform points of [0, 1]; and ``write_mesh_csv`` of that mesh.
+  uniform points of [0, 1]; and ``write_mesh_csv`` of that mesh;
+- march: ``solve`` with ``d- d+`` and with ``d2``, kappa = 4 pi^2, on
+  100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
+- arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
+  by ``apply_operator`` and ``scaled_local_difference``, on 1,000,000
+  jittered points (seed 2001).
 
-One run times each case as the best of its set's loops (40 for scalar, 5 for
-csv), in a fresh interpreter for each source tree; the runs alternate between
-the trees, and each table gives the minimum over 7 runs per call, in µs for
-scalar and in ms for csv.
+Within each case the trees take turns, one call set each, and the tree that
+goes first alternates from round to round, so that a change in the machine's
+load reaches every tree alike.  Each table gives, per call, the minimum and
+the median over the rounds, in µs for scalar and in ms for the others, and
+for every tree after the first the median over the rounds of its time
+relative to the first tree's in the same round.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
-import os
-import subprocess
+import importlib
+import importlib.util
+import math
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-RUNS = 7
 SEED = 2001
 N_POINTS = 2001
 CALLS_PER_LOOP = 500
 DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
+MARCH_POINTS = 100_000
+ARRAY_POINTS = 1_000_000
 
-# case set -> (unit, units per second, loops per run, decimals)
-CASE_SETS = {"scalar": ("µs", 1e6, 40, 3), "csv": ("ms", 1e3, 5, 2)}
+# case set -> (unit, units per second, rounds, decimals)
+CASE_SETS = {
+    "scalar": ("µs", 1e6, 41, 3),
+    "csv": ("ms", 1e3, 25, 2),
+    "march": ("ms", 1e3, 41, 3),
+    "arrays": ("ms", 1e3, 31, 2),
+}
 
 
-def _scalar_cases() -> dict[str, tuple]:
-    """name -> (function, argument tuples); public API only, so any tree can run it."""
+def _import_tree(i: int, src: str):
+    """The nufd package under ``src``, imported as ``nufd_<i>``; its relative imports stay inside it."""
+    name = f"nufd_{i}"
+    package = Path(src) / "nufd"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _jittered(nufd, n: int):
     import numpy as np
 
-    import nufd
+    steps = np.random.default_rng(SEED).uniform(0.5, 1.5, n - 1)
+    points = np.concatenate(([0.0], np.cumsum(steps)))
+    return nufd.Mesh(points / points[-1])
+
+
+def _scalar_cases(nufd, out: Path) -> dict[str, tuple]:
+    """name -> (function, argument tuples); public API only, so any tree can run it."""
+    import numpy as np
 
     rng = np.random.default_rng(SEED)
     steps = rng.uniform(0.5, 1.5, N_POINTS - 1)
@@ -76,13 +111,9 @@ def _scalar_cases() -> dict[str, tuple]:
     return cases
 
 
-def _csv_cases(out: Path) -> dict[str, tuple]:
+def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
     """name -> (function, one argument tuple); public API only, so any tree can run it."""
-    import math
-
-    import nufd
-    from nufd import presets
-
+    presets = importlib.import_module(f"{nufd.__name__}.presets")
     f = nufd.make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
     diff_mesh = nufd.refine_insert(nufd.build_uniform(0.0, 1.0, DIFF_STEPS), 0.7)
     op = nufd.SecondDiffSpec(nufd.FirstDiffKind.CENTRAL, nufd.FirstDiffKind.CENTRAL)
@@ -97,26 +128,43 @@ def _csv_cases(out: Path) -> dict[str, tuple]:
     }
 
 
-def _best_per_call(fn, args: list[tuple], loops: int) -> float:
-    """Seconds per call: the best of ``loops`` loops over ``args``."""
-    best = float("inf")
-    for _ in range(loops):
-        start = time.perf_counter()
-        for a in args:
-            fn(*a)
-        best = min(best, time.perf_counter() - start)
-    return best / len(args)
+def _march_cases(nufd, out: Path) -> dict[str, tuple]:
+    """name -> (solve, one problem); public API only, so any tree can run it."""
+    meshes = {"jittered": _jittered(nufd, MARCH_POINTS), "uniform": nufd.build_uniform(0.0, 1.0, MARCH_POINTS)}
+    operators = {"d- d+": nufd.BACKWARD_FORWARD, "d2": nufd.D2_CORRECTED}
+    return {
+        f"solve {label} ({name}, 100,000 points)": (
+            nufd.solve, [(nufd.IvpProblem(kappa=4 * math.pi**2, mesh=mesh, operator=op),)]
+        )
+        for name, mesh in meshes.items()
+        for label, op in operators.items()
+    }
 
 
-def _worker() -> None:
-    """Print {case set: {case: seconds per call}} as JSON."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cases = {"scalar": _scalar_cases(), "csv": _csv_cases(Path(tmp))}
-        result = {}
-        for case_set, named in cases.items():
-            loops = CASE_SETS[case_set][2]
-            result[case_set] = {name: _best_per_call(fn, args, loops) for name, (fn, args) in named.items()}
-    print(json.dumps(result))
+def _array_cases(nufd, out: Path) -> dict[str, tuple]:
+    """name -> (pipeline, one argument tuple); public API only, so any tree can run it."""
+    f = nufd.make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
+
+    def pipeline(mesh, op):
+        approx = nufd.apply_operator(op, nufd.sample(f, 0, mesh))
+        return nufd.scaled_local_difference(nufd.sample(f, 2, mesh), approx)
+
+    return {
+        "sample, d- d+, sld (1,000,000 points)": (
+            pipeline, [(_jittered(nufd, ARRAY_POINTS), nufd.BACKWARD_FORWARD)]
+        ),
+    }
+
+
+_BUILDERS = {"scalar": _scalar_cases, "csv": _csv_cases, "march": _march_cases, "arrays": _array_cases}
+
+
+def _per_call(fn, args: list[tuple]) -> float:
+    """Seconds per call of one call set: every argument tuple once."""
+    start = time.perf_counter()
+    for a in args:
+        fn(*a)
+    return (time.perf_counter() - start) / len(args)
 
 
 def main() -> None:
@@ -124,25 +172,34 @@ def main() -> None:
     parser.add_argument("--src", action="append", help="directory holding the nufd package (repeatable)")
     args = parser.parse_args()
     srcs = [str(Path(s).resolve()) for s in args.src or [Path(__file__).resolve().parents[1] / "src"]]
-    best: dict[str, dict[str, dict[str, float]]] = {src: {s: {} for s in CASE_SETS} for src in srcs}
-    for _ in range(RUNS):
-        for src in srcs:
-            # run in this file's directory, so the worker imports this file, and nufd only from src
-            out = subprocess.run(
-                [sys.executable, "-c", "import timings; timings._worker()"],
-                cwd=Path(__file__).resolve().parent, env={**os.environ, "PYTHONPATH": src},
-                check=True, capture_output=True, text=True,
-            ).stdout
-            for case_set, named in json.loads(out).items():
-                for name, seconds in named.items():
-                    best[src][case_set][name] = min(seconds, best[src][case_set].get(name, seconds))
+    trees = [_import_tree(i, src) for i, src in enumerate(srcs)]
     for i, src in enumerate(srcs):
         print(f"[{i}] {src}")
-    for case_set, (unit, scale, loops, decimals) in CASE_SETS.items():
-        print(f"\n{case_set}: {unit} per call, min of {RUNS} runs, best of {loops} loops")
-        print(f"{'case':40s}" + "".join(f"{f'[{i}]':>10s}" for i in range(len(srcs))))
-        for name in best[srcs[0]][case_set]:
-            print(f"{name:40s}" + "".join(f"{best[src][case_set][name] * scale:10.{decimals}f}" for src in srcs))
+    with tempfile.TemporaryDirectory() as tmp:
+        for case_set, (unit, scale, rounds, decimals) in CASE_SETS.items():
+            cases = []
+            for i, nufd in enumerate(trees):
+                out = Path(tmp) / str(i)
+                out.mkdir(exist_ok=True)
+                cases.append(_BUILDERS[case_set](nufd, out))
+            print(f"\n{case_set}: {unit} per call, min and median of {rounds} rounds;"
+                  " [i]/[0] is the median over rounds of the ratio of [i]'s call set to [0]'s")
+            print(f"{'case':40s}" + "".join(f"{f'[{i}] min':>11s}{f'[{i}] med':>11s}" for i in range(len(srcs)))
+                  + "".join(f"{f'[{i}]/[0]':>9s}" for i in range(1, len(srcs))))
+            for name in cases[0]:
+                samples: list[list[float]] = [[] for _ in srcs]
+                for _ in range(2):  # warm-up: imports, caches and lazy set-up finish untimed
+                    for named in cases:
+                        _per_call(*named[name])
+                for r in range(rounds):
+                    order = range(len(srcs)) if r % 2 == 0 else reversed(range(len(srcs)))
+                    for i in order:
+                        samples[i].append(_per_call(*cases[i][name]))
+                print(f"{name:40s}" + "".join(
+                    f"{min(s) * scale:11.{decimals}f}{statistics.median(s) * scale:11.{decimals}f}" for s in samples
+                ) + "".join(
+                    f"{statistics.median(x / y for x, y in zip(s, samples[0])):9.3f}" for s in samples[1:]
+                ))
 
 
 if __name__ == "__main__":

@@ -175,11 +175,6 @@ class GridFunction:
         return float(self.values[k - self.first_index])
 
 
-def _require(u: GridFunction, n: int, what: str) -> None:
-    if len(u) < n:
-        raise WindowError(f"{what} needs at least {n} consecutive points, got {len(u)}")
-
-
 def _plan(op: Operator) -> _Plan:
     """The operator's plan; TypeError, naming it, for anything that is not an operator."""
     try:
@@ -193,21 +188,27 @@ def _apply(op: Operator, u: GridFunction) -> GridFunction:
 
     A first difference differences the values themselves; a second one
     first takes its inner differences once over the window (inner width
-    ``ba - bb``) and differences those slopes at ``bb`` and ``ab``.  For a
-    pair these are the IEEE operations of the two nested first differences.
+    ``ba - bb``) and differences those slopes at ``bb`` and ``ab`` in their
+    own buffer.  For a pair these are the IEEE operations of the two nested
+    first differences; a one-step span is read from the mesh's steps, which
+    hold the same subtraction.
     """
     lo, hi, (jb, ja), inner, _, _ = plan = _plan(op)
-    _require(u, hi - lo + 1, f"second difference '{op}'" if inner else f"{op.name.lower()} difference")
+    if len(u) < hi - lo + 1:
+        what = f"second difference '{op}'" if inner else f"{op.name.lower()} difference"
+        raise WindowError(f"{what} needs at least {hi - lo + 1} consecutive points, got {len(u)}")
     n = len(u) - (hi - lo)
-    t, v = u.t, u.values
+    t, v, h = u.t, u.values, u.mesh.steps[u.first_index :]
     if inner:
         bb, ba, ab, _ = inner
         width = ba - bb
         v = v[width:] - v[:-width]
-        v /= t[width:] - t[:-width]
-        jb, ja = bb, ab
-    out = v[ja : ja + n] - v[jb : jb + n]
-    out /= _outer_divisor(plan, t, n)
+        v /= h[: len(v)] if width == 1 else t[width:] - t[:-width]
+        # ab > bb: the difference at k overwrites slope bb + k after its last read
+        out = np.subtract(v[ab : ab + n], v[bb : bb + n], out=v[bb : bb + n])
+    else:
+        out = v[ja : ja + n] - v[jb : jb + n]
+    out /= _outer_divisor(plan, t, n, h)
     return GridFunction(u.mesh, u.first_index - lo, out)
 
 
@@ -229,9 +230,15 @@ def second_difference(op: SecondOperator, u: GridFunction) -> GridFunction:
     return _apply(op, u)
 
 
-def _outer_divisor(plan: _Plan, t: np.ndarray, n: int) -> np.ndarray:
-    """(t_{k+a} - t_{k+b}) / share, the plan's outer divisor, for n stencils whose first reads t[0]."""
+def _outer_divisor(plan: _Plan, t: np.ndarray, n: int, h: np.ndarray | None = None) -> np.ndarray:
+    """(t_{k+a} - t_{k+b}) / share, the plan's outer divisor, for n stencils whose first reads t[0].
+
+    ``h``, the steps from t[0] on (h[i] = t[i+1] - t[i]), if given, serves a
+    one-step span of share 1, so the result may be a read-only view of them.
+    """
     b, a = plan.outer
+    if h is not None and a - b == 1 and plan.share == 1.0:
+        return h[b : b + n]
     span = t[a : a + n] - t[b : b + n]
     if plan.share != 1.0:  # x / 1.0 is x: a share of 1 needs no pass over the array
         span /= plan.share

@@ -115,9 +115,14 @@ def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> Ana
                 return amplitude * frequency**order * math.sin(frequency * t + phase + order * math.pi / 2)
             except ValueError:  # an infinite argument, where np.sin gives nan
                 pass
-        return amplitude * frequency**order * np.sin(
-            frequency * np.asarray(t, dtype=np.float64) + phase + order * np.pi / 2
-        )
+        # A * w**n * sin(w*t + phi + n*pi/2), each operation in place on one copy of t
+        x = np.array(t, dtype=np.float64)
+        x *= frequency
+        x += phase
+        x += order * np.pi / 2
+        np.sin(x, out=x)
+        x *= amplitude * frequency**order
+        return x if x.ndim else x[()]
 
     return AnalyticFunction(
         label=label,
@@ -194,8 +199,18 @@ def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float 
     )
 
     def evaluator(order: int, t):
-        arg = omega * (np.asarray(t, dtype=np.float64) - t0) + order * np.pi / 2
-        return omega**order * (c_sin * np.sin(arg) + c_cos * np.cos(arg))
+        # omega**n * (c_sin*sin(x) + c_cos*cos(x)), x = omega*(t - t0) + n*pi/2, in place on two buffers
+        x = np.array(t, dtype=np.float64)
+        x -= t0
+        x *= omega
+        x += order * np.pi / 2
+        c = np.cos(x)
+        np.sin(x, out=x)
+        x *= c_sin
+        c *= c_cos
+        x += c
+        x *= omega**order
+        return x if x.ndim else x[()]
 
     return AnalyticFunction(
         label=label,

@@ -117,13 +117,17 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
     # Python-float steps of the stitch.
     length = max(1, math.isqrt(m // 10))
     blocks = -(-m // length)
+    full, rest = divmod(m, length)
 
     def by_step(x: np.ndarray) -> np.ndarray:
         # (length, blocks) layout: row i holds step i of every block.  The
         # padding steps have zero growth and step, so they are the identity.
-        padded = np.zeros(blocks * length)
-        padded[:m] = x
-        return np.ascontiguousarray(padded.reshape(blocks, length).T)
+        out = np.empty((length, blocks))
+        out.T[:full] = x[: full * length].reshape(full, length)
+        if rest:
+            out[:rest, full] = x[full * length :]
+            out[rest:, full] = 0.0
+        return out
 
     a, hs = by_step(growth), by_step(h)
     basis = np.empty((2, length, blocks))
@@ -150,10 +154,13 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
     starts[1, 0, : len(ys)] = ys
 
     # A zero start component contributes exactly zero, not 0 * inf.
-    np.copyto(basis, 0.0, where=starts == 0.0)
+    if not starts.all():
+        np.copyto(basis, 0.0, where=starts == 0.0)
+    # basis[0] * starts[0] + basis[1] * starts[1], formed in place
+    basis *= starts
     out = np.empty(2 + blocks * length)
     out[0], out[1] = w0, w1
-    out[2:].reshape(blocks, length).T[...] = basis[0] * starts[0] + basis[1] * starts[1]
+    np.add(basis[0], basis[1], out=out[2:].reshape(blocks, length).T)
     return out[: m + 2]
 
 
@@ -200,7 +207,7 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     numeric = GridFunction(mesh, 0, w)
     phi = _oscillator(kappa, problem.initial_value, problem.initial_slope, t0=mesh.a)
     exact = sample(phi, 0, mesh)
-    if np.max(np.abs(exact.values)) == 0.0:
+    if not exact.values.any():
         return IvpSolution(w=numeric, exact=exact, sld=None)
     return IvpSolution(w=numeric, exact=exact, sld=scaled_local_difference(exact, numeric))
 

@@ -164,8 +164,14 @@ def build_geometric(t0: float, h0: float, r: float, m: int) -> Mesh:
         raise MeshError(f"m must be nonnegative, got {m}")
     if r == 1.0:
         return build_uniform(t0, t0 + (m + 1) * h0, m + 2)
-    steps = h0 * r ** np.arange(m + 1, dtype=np.float64)
-    points = np.concatenate(([t0], t0 + np.cumsum(steps)))
+    # h0 * r**k and t0 + cumsum(steps), each formed in place
+    steps = np.arange(m + 1, dtype=np.float64)
+    np.power(r, steps, out=steps)
+    steps *= h0
+    points = np.empty(m + 2)
+    points[0] = t0
+    np.cumsum(steps, out=points[1:])
+    points[1:] += t0
     return Mesh(points)
 
 
@@ -219,7 +225,9 @@ def refine_insert(mesh: Mesh, beta: float) -> Mesh:
     pts = mesh.points
     out = np.empty(2 * pts.size - 1, dtype=np.float64)
     out[0::2] = pts
-    out[1::2] = pts[:-1] + beta * mesh.steps
+    inserted = out[1::2]  # pts[:-1] + beta * steps, formed in place
+    np.multiply(mesh.steps, beta, out=inserted)
+    inserted += pts[:-1]
     return Mesh(out)
 
 

@@ -74,10 +74,11 @@ def scaled_local_difference(reference: GridFunction, approx: GridFunction) -> Sl
         )
     f = reference.values[lo - reference.first_index : hi - reference.first_index + 1]
     g = approx.values[lo - approx.first_index : hi - approx.first_index + 1]
-    scale = float(np.max(np.abs(f)))
+    scale = _max_abs(f)
     if scale == 0.0:
         raise ValueError("reference vanishes on the whole overlap; the scale is undefined")
-    sld = (f - g) / scale
+    sld = f - g
+    sld /= scale
     return SldSeries(
         mesh=reference.mesh,
         first_index=lo,
@@ -85,8 +86,13 @@ def scaled_local_difference(reference: GridFunction, approx: GridFunction) -> Sl
         approx=g,
         sld=sld,
         scale=scale,
-        sgei=float(np.max(np.abs(sld))),
+        sgei=_max_abs(sld),
     )
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without forming |a|: exact, and +0.0, never -0.0, for an all-zero ``a``."""
+    return float(abs(max(a.max(), -a.min())))
 
 
 def classify(sgei: float) -> Literal["acceptable", "unacceptable"]:

@@ -435,3 +435,64 @@ class TestScalarPath:
         want = _reference_sinusoid_supremum(amplitude, frequency, phase, order, lo, lo + width)
         assert _bits(got) == _bits(want)
 
+
+
+def _sinusoid_expression(amplitude, frequency, phase, order, t):
+    """The sinusoid's array path as one expression, as first written."""
+    return amplitude * frequency**order * np.sin(frequency * np.asarray(t, dtype=np.float64) + phase + order * np.pi / 2)
+
+
+def _oscillator_expression(kappa, value, slope, t0, order, t):
+    """The oscillator motion's evaluator as one expression, as first written."""
+    omega = np.sqrt(kappa)
+    c_sin, c_cos = slope / omega, value
+    arg = omega * (np.asarray(t, dtype=np.float64) - t0) + order * np.pi / 2
+    return omega**order * (c_sin * np.sin(arg) + c_cos * np.cos(arg))
+
+
+_ARRAY_TS = st.lists(_SCALAR_TS, min_size=1, max_size=12)
+
+
+class TestArrayPath:
+    """The array paths evaluate in place on one copy of t; each value is bit for
+    bit the expression's, of the expression's type, and t is left as it was."""
+
+    @staticmethod
+    def assert_same_bits(f, expression, ts):
+        array = np.array(ts)
+        inputs = [array, ts, np.array(ts[0]), np.float64(ts[0]), array.reshape(-1, 1)]
+        with np.errstate(all="ignore"):
+            for t in inputs:
+                before = np.array(t, copy=True)
+                for order in range(MAX_DERIVATIVE_ORDER + 1):
+                    got, want = f.evaluate(order, t), expression(order, t)
+                    assert type(got) is type(want)
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).dtype == np.float64
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert np.array_equal(np.asarray(t), before, equal_nan=True)
+            assert type(f.evaluate(0, np.array(ts[0]))) is np.float64
+
+    @given(st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _ARRAY_TS)
+    @example(2.0, 3.0, 0.0, [0.0, -0.0, 1e300, -math.inf])
+    @settings(max_examples=200, deadline=None)
+    def test_sinusoid(self, amplitude, frequency, phase, ts):
+        f = make_sinusoid(amplitude, frequency, phase)
+        self.assert_same_bits(f, lambda order, t: _sinusoid_expression(amplitude, frequency, phase, order, t), ts)
+
+    @given(
+        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
+        st.floats(-2.0, 2.0), _ARRAY_TS,
+    )
+    @example(4 * math.pi**2, 1.0, -1.0, 0.0, [0.0, -0.0, 0.25, 1e300, math.inf])
+    @settings(max_examples=200, deadline=None)
+    def test_oscillator(self, kappa, value, slope, t0, ts):
+        f = _oscillator(kappa, value, slope, t0)
+        self.assert_same_bits(f, lambda order, t: _oscillator_expression(kappa, value, slope, t0, order, t), ts)
+
+    def test_oscillator_at_a_python_float(self):
+        f = make_oscillator_solution(9.0)
+        for order in range(MAX_DERIVATIVE_ORDER + 1):
+            got, want = f.evaluate(order, 0.3), _oscillator_expression(9.0, 1.0, -1.0, 0.0, order, 0.3)
+            assert type(got) is type(want) is np.float64
+            assert _bits(got) == _bits(want)

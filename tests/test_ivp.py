@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from nufd import (
     solve,
 )
 from nufd.diffops import slope_jump_divisors
+from nufd.ivp import _march
 from nufd.presets import OSCILLATOR_KAPPA, oscillator_meshes
 
 from helpers import EPS, long_double_march, stencil_scale
@@ -332,3 +334,119 @@ class TestProblemValidation:
                 IvpProblem(kappa=1.0, mesh=geometric, operator=operator)
             assert isinstance(info.value, ValueError)
             assert f"cannot march '{operator}'" in str(info.value)
+
+
+def _padded_march(w0, w1, v0, h, growth):
+    """The blocked march as first written: zero-padded (length, blocks) copies of
+    the steps and growths, and one expression combining the basis with the starts."""
+    m = h.size
+    length = max(1, math.isqrt(m // 10))
+    blocks = -(-m // length)
+
+    def by_step(x):
+        padded = np.zeros(blocks * length)
+        padded[:m] = x
+        return np.ascontiguousarray(padded.reshape(blocks, length).T)
+
+    a, hs = by_step(growth), by_step(h)
+    basis = np.empty((2, length, blocks))
+    w = np.zeros((2, blocks))
+    v = np.zeros((2, blocks))
+    w[0] = 1.0
+    v[1] = 1.0
+    for i in range(length):
+        v -= a[i] * w
+        w += hs[i] * v
+        basis[:, i] = w
+    xs, ys = [], []
+    x, y = w1, v0
+    for p, q, r, s in zip(*w.tolist(), *v.tolist()):
+        if not (x or y):
+            break
+        xs.append(x)
+        ys.append(y)
+        x, y = p * x + q * y, r * x + s * y
+    starts = np.zeros((2, 1, blocks))
+    starts[0, 0, : len(xs)] = xs
+    starts[1, 0, : len(ys)] = ys
+    np.copyto(basis, 0.0, where=starts == 0.0)
+    out = np.empty(2 + blocks * length)
+    out[0], out[1] = w0, w1
+    out[2:].reshape(blocks, length).T[...] = basis[0] * starts[0] + basis[1] * starts[1]
+    return out[: m + 2]
+
+
+def _march_args(problem, second_value=None):
+    """(w0, w1, v0, h, growth) as ``solve`` hands them to ``_march``."""
+    h = problem.mesh.steps
+    w0 = problem.initial_value
+    if second_value is None:
+        v0 = problem.initial_slope
+        w1 = w0 + h[0] * v0
+    else:
+        w1 = second_value
+        v0 = (w1 - w0) / h[0]
+    growth = problem.kappa * slope_jump_divisors(problem.operator, problem.mesh.points)
+    return float(w0), float(w1), float(v0), h[1:], growth
+
+
+def _assert_same_bits(w0, w1, v0, h, growth):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _march(w0, w1, v0, h, growth)
+        want = _padded_march(w0, w1, v0, h, growth)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestMarchBits:
+    """``_march`` writes its block layout and combines its basis in place; every
+    value is bit for bit the padded layout's and the combine expression's."""
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    @pytest.mark.parametrize(
+        "n, length, rest",
+        [(9, 1, 0), (92, 3, 0), (1005, 10, 3), (20000, 44, 22)],
+        ids=["length-1", "whole-blocks", "partial-block", "many-blocks"],
+    )
+    def test_block_layouts(self, n, length, rest, operator):
+        m = n - 2
+        assert (max(1, math.isqrt(m // 10)), m % max(1, math.isqrt(m // 10))) == (length, rest)
+        steps = 1.0 + 0.4 * np.random.default_rng(n).uniform(-1.0, 1.0, n - 1)
+        points = np.concatenate(([0.0], np.cumsum(steps)))
+        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=Mesh(points / points[-1]), operator=operator)
+        w = _assert_same_bits(*_march_args(problem))
+        assert solve(problem).w.values.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    def test_zero_second_value(self, meshes, operator):
+        # w_1 = 0.0: the first block starts from (0, v_0), and a zero start
+        # component takes the zero-start path of the combine
+        for mesh in (*meshes, build_uniform(0.0, 1.0, 1005)):
+            problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh, operator=operator)
+            args = _march_args(problem, second_value=0.0)
+            assert args[1] == 0.0 and args[2] != 0.0
+            w = _assert_same_bits(*args)
+            assert solve(problem, second_value=0.0).w.values.tobytes() == w.tobytes()
+
+    def test_zero_start_component_after_the_first_block(self):
+        # zero growth: the slope stays -1 and w falls by 1/8 a step, so the
+        # third block (length 4) starts from exactly (0, -1)
+        m = 200
+        w = _assert_same_bits(1.0, 1.0, -1.0, np.full(m, 0.125), np.zeros(m))
+        assert w[9] == 0.0
+
+    @pytest.mark.parametrize("m", [7, 90, 1003])
+    def test_zero_data(self, m):
+        h = np.random.default_rng(m).uniform(0.5, 1.5, m) / m
+        w = _assert_same_bits(0.0, 0.0, 0.0, h, np.full(m, OSCILLATOR_KAPPA))
+        assert not w.any()
+
+    @pytest.mark.parametrize("w1, v0", [(0.0, 0.0), (0.0, -1.0), (1.0, 0.0)], ids=["zero", "zero-w", "zero-v"])
+    def test_overflowing_transfer_behind_a_zero_start(self, w1, v0):
+        # growth*h = 5e299: every block's basis overflows within two steps, and a
+        # zero start component must contribute exactly zero, not 0 * inf
+        m = 10**3
+        w = _assert_same_bits(0.0, w1, v0, np.full(m, 0.5), np.full(m, 1e300))
+        if not (w1 or v0):
+            assert not w.any()

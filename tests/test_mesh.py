@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nufd import (
@@ -70,6 +70,16 @@ class TestBuildGeometric:
     def test_direct_summation(self):
         m = build_geometric(0, 0.1, 2.0, 2)
         np.testing.assert_allclose(m.points, [0, 0.1, 0.3, 0.7], atol=1e-15)
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-6, 1.0), st.floats(0.5, 2.0), st.integers(0, 300))
+    @example(0.0, 0.1, 50 / 59, 200)
+    @example(-0.0, 1e-4, 1.0001, 19998)
+    @settings(max_examples=100, deadline=None)
+    def test_points_are_the_expression_bit_for_bit(self, t0, h0, r, m):
+        # the points are formed in place; they equal the expression as first written
+        want = np.concatenate(([t0], t0 + np.cumsum(h0 * r ** np.arange(m + 1, dtype=np.float64))))
+        assume(r != 1.0 and np.all(want[1:] > want[:-1]))  # else a uniform mesh, or none
+        assert build_geometric(t0, h0, r, m).points.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("h0,r", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0)])
     def test_rejects_nonpositive_parameters(self, h0, r):
@@ -152,6 +162,13 @@ class TestRefineInsert:
         base = Mesh(np.array([0.0, 1.0, 3.0]))
         out = refine_insert(base, 0.7)
         np.testing.assert_allclose(out.points, [0.0, 0.7, 1.0, 2.4, 3.0], atol=1e-15)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.01, 0.99))
+    @settings(max_examples=100, deadline=None)
+    def test_inserted_points_are_the_expression_bit_for_bit(self, seed, m, beta):
+        base = random_mesh(np.random.default_rng(seed), m)
+        want = base.points[:-1] + beta * base.steps
+        assert refine_insert(base, beta).points[1::2].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_beta_outside_open_interval(self, beta):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nufd import (
     FirstDiffKind,
@@ -14,6 +16,7 @@ from nufd import (
     scaled_local_difference,
     second_difference,
 )
+from nufd.metrics import _max_abs
 
 from helpers import EPS, random_mesh
 
@@ -102,6 +105,45 @@ class TestScaledLocalDifference:
         f, g = _pair(m, [0, 0, 0, 0], [1, 1, 1, 1])
         with pytest.raises(ValueError):
             scaled_local_difference(f, g)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMaxAbsBits:
+    """scale and sgei are taken without forming |x|, and are bit for bit
+    np.max(np.abs(x)), +0.0 where every entry is a zero of either sign."""
+
+    @given(st.lists(st.tuples(_VALUES, _VALUES), min_size=2, max_size=20))
+    @example([(1.0, 1.0), (-0.0, 0.0)])  # sld [+0.0, -0.0]
+    @example([(-0.0, 0.0), (1.0, 1.0)])  # sld [-0.0, +0.0]
+    @example([(-3.0, -1.0), (-2.0, 5e-324)])  # all negative
+    @settings(max_examples=300, deadline=None)
+    def test_scale_and_sgei(self, pairs):
+        f, g = (np.array(column) for column in zip(*pairs))
+        if not np.any(f):
+            return
+        with np.errstate(all="ignore"):
+            series = scaled_local_difference(*_pair(build_uniform(0, 1, len(pairs)), f, g))
+            sld = (f - g) / np.max(np.abs(f))
+        assert _bits(series.scale) == _bits(np.max(np.abs(f)))
+        assert series.sld.tobytes() == sld.tobytes()
+        assert _bits(series.sgei) == _bits(np.max(np.abs(sld)))
+        assert type(series.scale) is float and type(series.sgei) is float
+
+    def test_sld_of_signed_zeros_has_a_positive_zero_sgei(self):
+        f, g = _pair(build_uniform(0, 1, 4), [1.0, -0.0, 2.0, -0.0], [1.0, 0.0, 2.0, 0.0])
+        series = scaled_local_difference(f, g)
+        assert series.sld.tobytes() == np.array([0.0, -0.0, 0.0, -0.0]).tobytes()
+        assert _bits(series.sgei) == _bits(0.0)
+
+    @pytest.mark.parametrize("zeros", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0] * 9 + [-0.0]])
+    def test_zeros_of_either_sign_give_a_positive_zero(self, zeros):
+        assert _bits(_max_abs(np.array(zeros))) == _bits(0.0)
 
 
 class TestScaleEquivariance:
