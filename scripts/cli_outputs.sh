@@ -78,3 +78,12 @@ run fail-function-oscillator-kappa diff --mesh "uniform:0,1,11" --function oscil
 run oscillator-d2-blocks oscillator --mesh "uniform:0,1,20000" --operator d2
 run diff-backward-forward-geometric-blocks diff --mesh "geometric:0,1e-4,1.0001,19998" \
     --function "sinusoid:frequency=4pi" --op "d- d+"
+run fail-order-exact order --op c --function "poly:c1=1" \
+    --mesh "uniform:0,1,11" --mesh "uniform:0,1,21" --mesh "uniform:0,1,41"
+run fail-consistency-subnormal-steps consistency --spec "d+ d+" --mesh "uniform:0,1e-310,9" --k 4
+run fail-mesh-tied-points mesh "geometric:0,1e-300,1e-10,5"
+run fail-consistency-alpha-and-mesh consistency --spec "d+ d+" --alpha 2 --mesh "uniform:0,1,9" --k 4
+run fail-mesh-geometric-overflow mesh "geometric:0,1,10,400"
+run fail-mesh-uniform-overflow mesh "uniform:-1e308,1e308,5"
+run fail-diff-sinusoid-overflow diff --mesh "uniform:1e300,2e300,5" --function "sinusoid:frequency=1e10" --op c
+run fail-oscillator-data-overflow oscillator --mesh "uniform:0,1,5" --initial-value 1e308 --initial-slope 1e308

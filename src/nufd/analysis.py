@@ -241,7 +241,8 @@ def empirical_order(
 
     Needs at least three meshes whose maximum steps decrease by a factor
     of 1.5 or more at every level.  The coarsest level is dropped from the
-    fit when its sgei exceeds 1 (pre-asymptotic).
+    fit when its sgei exceeds 1 (pre-asymptotic).  A fitted level whose sgei
+    is exactly 0 is a ValueError: the operator is exact there.
     """
     if target_order not in (1, 2):
         raise ValueError(f"target_order must be 1 or 2, got {target_order}")
@@ -261,6 +262,12 @@ def empirical_order(
         sgeis.append(scaled_local_difference(reference, approx).sgei)
     samples = tuple(zip(hmaxes, sgeis))
     start = 1 if sgeis[0] > 1.0 else 0
+    for level in range(start, len(sgeis)):
+        if sgeis[level] == 0.0:
+            raise ValueError(
+                f"sgei is exactly 0 on mesh {level} of the family (h_max = {hmaxes[level]:g}): "
+                "the operator is exact there, so there is no order to fit"
+            )
     log_h = np.log([s[0] for s in samples[start:]])
     log_e = np.log([s[1] for s in samples[start:]])
     slope, intercept = np.polyfit(log_h, log_e, 1)

@@ -9,9 +9,11 @@ as JSON (schema_version 1) and echoed on stdout either as a compact
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import analysis, ivp, presets
 from .diffops import derivative_order
@@ -23,11 +25,16 @@ _ERRORS = ValueError
 
 
 class _Group(click.Group):
-    """Reports a ``ValueError`` raised by a command as a clean CLI error."""
+    """Reports a ``ValueError`` raised by a command as a clean CLI error.
+
+    Commands run with numpy's floating-point warnings silenced: a non-finite
+    value ends in a named error (or a rejected summary), not a warning.
+    """
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            with np.errstate(all="ignore"):
+                return super().invoke(ctx)
         except _ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -68,18 +75,21 @@ def _out_dir(ctx: click.Context) -> Path:
     return out
 
 
-def _emit(ctx: click.Context, filename: str, summary: dict, keys: list[str] | None = None) -> None:
-    """Write ``summary`` as JSON to ``filename`` in the output directory and echo it.
+def _emit(ctx: click.Context, filename: str, summary: dict, keys: Sequence[str] | None = None) -> None:
+    """Stamp ``summary`` with its schema version, write it as JSON to
+    ``filename`` in the output directory and echo it.
 
     The echo is the JSON document under ``--format json``, otherwise one
-    ``key=value`` line of ``keys`` (default: every key but schema_version).
+    ``key=value`` line of ``keys`` (default: every key of ``summary``).  A
+    NaN or infinite value is a ``ValueError``: every summary is strict JSON.
     """
-    document = json.dumps(summary, sort_keys=True, indent=2)
+    keys = keys or list(summary)
+    summary = {"schema_version": 1, **summary}
+    document = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     (_out_dir(ctx) / filename).write_text(document + "\n")
     if ctx.obj["fmt"] == "json":
         click.echo(document)
         return
-    keys = keys or [k for k in summary if k != "schema_version"]
     click.echo(",".join(f"{k}={summary[k]}" for k in keys if k in summary))
 
 
@@ -96,7 +106,6 @@ def mesh(ctx: click.Context, mesh_spec: str) -> None:
     out = _out_dir(ctx)
     write_mesh_csv(built, out / "mesh.csv")
     summary = {
-        "schema_version": 1,
         "n_points": built.n_points,
         "a": built.a,
         "b": built.b,
@@ -119,7 +128,7 @@ def diff(ctx, mesh_spec: str, function_spec: str, operator_spec: str, order: int
     f = parse_function_spec(function_spec)
     op = parse_operator(operator_spec)
     summary = presets.run_custom(built, f, op, order, out_dir=_out_dir(ctx))
-    _emit(ctx, "diff_summary.json", summary, ["sgei", "argmax_t", "classification"])
+    _emit(ctx, "diff_summary.json", summary, presets._SGEI_KEYS)
 
 
 @main.command()
@@ -133,22 +142,18 @@ def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | Non
     op = parse_operator(operator_spec)
     if derivative_order(op) != 2:
         raise SpecError(f"consistency reports need a second difference, got {operator_spec!r}")
-    if alpha_spec is not None:
+    if alpha_spec is not None and mesh_spec is None and index is None:
         alpha = parse_number(alpha_spec)
         coefficient = analysis.geometric_consistency(op, alpha)
         summary = {
-            "schema_version": 1,
             "spec": str(op),
             "alpha": alpha,
             "leading_coefficient": coefficient,
             "consistent": abs(coefficient - 1.0) <= analysis.CONSISTENCY_TOL,
         }
-    else:
-        if mesh_spec is None or index is None:
-            raise SpecError("provide either --alpha or both --mesh and --k")
+    elif alpha_spec is None and mesh_spec is not None and index is not None:
         report = analysis.consistency_report_at(op, parse_mesh_spec(mesh_spec), index)
         summary = {
-            "schema_version": 1,
             "spec": str(report.spec),
             "k": report.index,
             "leading_coefficient": report.leading_coefficient,
@@ -156,6 +161,8 @@ def consistency(ctx, operator_spec: str, mesh_spec: str | None, index: int | Non
             "consistent": report.consistent,
             "bracket": list(report.remainder_bracket),
         }
+    else:
+        raise SpecError("provide either --alpha or both --mesh and --k")
     _emit(ctx, "consistency.json", summary)
 
 
@@ -176,7 +183,6 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
     slope = f"# slope={estimate.slope:{FLOAT_FORMAT}}"
     _write_columns(out / "order.csv", "h_max,sgei", tuple(zip(*estimate.sample_points)), footer=(slope,))
     summary = {
-        "schema_version": 1,
         "operator": str(op),
         "function": f.label,
         "slope": estimate.slope,
@@ -207,14 +213,13 @@ def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
         initial_slope=initial_slope,
     )
     summary = {
-        "schema_version": 1,
         "kappa": kappa,
         "operator": str(op),
         "initial_value": initial_value,
         "initial_slope": initial_slope,
         **presets.run_oscillator(problem, _out_dir(ctx) / "oscillator.csv"),
     }
-    _emit(ctx, "oscillator_summary.json", summary, ["sgei", "argmax_t", "classification"])
+    _emit(ctx, "oscillator_summary.json", summary, presets._SGEI_KEYS)
 
 
 @main.command()
@@ -223,7 +228,8 @@ def oscillator(ctx, kappa_spec: str, mesh_spec: str, operator_spec: str,
 def preset(ctx, name: str) -> None:
     """Run one canned experiment and write its CSV outputs plus a JSON summary."""
     summary = presets.run_preset(name, _out_dir(ctx), ctx.obj["beta"])
-    _emit(ctx, f"{name}_summary.json", summary, [k for k, v in summary.items() if not isinstance(v, list)])
+    keys = ["schema_version", *(k for k, v in summary.items() if not isinstance(v, list))]
+    _emit(ctx, f"{name}_summary.json", summary, keys)
 
 
 if __name__ == "__main__":

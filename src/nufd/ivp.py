@@ -57,15 +57,22 @@ BACKWARD_FORWARD = SecondDiffSpec(FirstDiffKind.BACKWARD, FirstDiffKind.FORWARD)
 
 
 class MarchDivergedError(ValueError):
-    """Raised when the march overflows to a non-finite value."""
+    """Raised when the march overflows to a non-finite value.
+
+    The message blames the stability limit only when some step exceeds it;
+    a march within the limit overflowed because its data are too large.
+    """
 
     def __init__(self, index: int, t: float, max_growth: float) -> None:
         self.index = index
         self.max_growth = max_growth
+        if max_growth > 4:
+            cause = "and on any mesh the march stays bounded only while kappa*c_k*h_k <= 4 at every step"
+        else:
+            cause = "within the stability limit 4, so the data overflowed float64"
         super().__init__(
             f"the march diverged: w is not finite from index {index} (t = {t:.6g}); "
-            f"max kappa*c_k*h_k = {max_growth:.6g}, and on any mesh the march "
-            f"stays bounded only while kappa*c_k*h_k <= 4 at every step"
+            f"max kappa*c_k*h_k = {max_growth:.6g}, {cause}"
         )
 
 

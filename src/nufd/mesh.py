@@ -81,7 +81,7 @@ class Mesh:
             bad = int(np.argmax(steps <= 0))
             raise MeshError(
                 f"mesh points must be strictly increasing; "
-                f"points[{bad}]={pts[bad]!r} >= points[{bad + 1}]={pts[bad + 1]!r}"
+                f"points[{bad}]={float(pts[bad])!r} >= points[{bad + 1}]={float(pts[bad + 1])!r}"
             )
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "_steps", _freeze(steps))

@@ -143,7 +143,6 @@ def run_custom(
                     (t, series.reference, series.approx, series.sld), (_summary_line(series),))],
                   first_index=series.first_index)
     return {
-        "schema_version": 1,
         "operator": str(op),
         "function": f.label,
         "derivative_order": order,
@@ -169,7 +168,6 @@ def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
     op = _DERIVATIVE_PRESETS[name]
     f = section5_function()
     summary: dict = {
-        "schema_version": 1,
         "preset": name,
         "operator": str(op),
         "function": f.label,
@@ -187,7 +185,6 @@ def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
 def _run_oscillator_preset(out_dir: Path) -> dict:
     geometric, uniform = oscillator_meshes()
     summary: dict = {
-        "schema_version": 1,
         "preset": "ex5_5",
         "kappa": OSCILLATOR_KAPPA,
         "operator": str(ivp.BACKWARD_FORWARD),
@@ -206,7 +203,7 @@ def _run_mesh_profile_preset(beta: float, out_dir: Path) -> dict:
         "uniform": section5_uniform_mesh(),
         "nonuniform": section5_nonuniform_mesh(beta),
     }
-    summary: dict = {"schema_version": 1, "preset": "fig5_1", "beta": beta}
+    summary: dict = {"preset": "fig5_1", "beta": beta}
     for variant, mesh in meshes.items():
         write_mesh_csv(mesh, out_dir / f"fig5_1_{variant}_mesh.csv")
         ratios = smoothness_ratios(mesh)

@@ -409,6 +409,12 @@ class TestEmpiricalOrder:
         assert est.sample_points[0][1] > 1.0
         assert 0.75 <= est.slope <= 1.25
 
+    def test_an_exact_operator_has_no_order_to_fit(self):
+        # the central difference is exact on a line, so every sgei is 0 and log(0) has no slope
+        family = [build_uniform(0, 1, n) for n in (11, 21, 41)]
+        with pytest.raises(ValueError, match=r"^sgei is exactly 0 on mesh 0 of the family \(h_max = 0\.1\)"):
+            empirical_order(C, make_polynomial([0.0, 1.0]), family, 1)
+
 
 def _oracle_mesh(family, rng):
     """Twelve-point mesh of one family; the offset family sits near 1e6, where steps round."""

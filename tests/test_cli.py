@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ class TestConsistencyCommand:
         assert result.exit_code == 1
         assert "alpha" in result.output
 
+    @pytest.mark.parametrize("extra", [("--mesh", "uniform:0,1,9", "--k", 4), ("--mesh", "uniform:0,1,9"), ("--k", 4)])
+    def test_alpha_with_a_mesh_or_an_index_is_rejected(self, runner, tmp_path, extra):
+        result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+ d+", "--alpha", 2, *extra)
+        assert result.exit_code == 1
+        assert "provide either --alpha or both --mesh and --k" in result.output
+        assert not (tmp_path / "consistency.json").exists()
+
+    def test_a_nan_coefficient_is_not_written_as_json(self, runner, tmp_path):
+        # subnormal steps: the moments underflow and the coefficient is NaN
+        result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+ d+", "--mesh", "uniform:0,1e-310,9", "--k", 4)
+        assert result.exit_code == 1
+        assert "not JSON compliant" in result.output
+        assert not (tmp_path / "consistency.json").exists()
+
 
 class TestOrderCommand:
     def test_central_slope_near_two(self, runner, tmp_path):
@@ -196,6 +211,18 @@ class TestOrderCommand:
         assert lines[0] == "h_max,sgei"
         assert len(lines) == 6
         assert lines[-1].startswith("# slope=")
+
+    def test_an_exact_operator_is_a_clean_error(self, runner, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(
+                runner, "--out", tmp_path, "order", "--op", "c", "--function", "poly:c1=1",
+                "--mesh", "uniform:0,1,11", "--mesh", "uniform:0,1,21", "--mesh", "uniform:0,1,41",
+            )
+        assert result.exit_code == 1
+        assert "sgei is exactly 0 on mesh 0 of the family" in result.output
+        assert not (tmp_path / "order_summary.json").exists()
+        assert caught == []
 
 
 class TestOscillatorCommand:
@@ -249,6 +276,14 @@ class TestOscillatorCommand:
         assert result.exit_code != 0
         assert "the march diverged" in result.output
 
+    def test_a_stable_march_that_overflows_blames_the_data(self, runner, tmp_path):
+        result = run(
+            runner, "--out", tmp_path, "oscillator",
+            "--mesh", "uniform:0,1,5", "--initial-value", "1e308", "--initial-slope", "1e308",
+        )
+        assert result.exit_code == 1
+        assert "within the stability limit 4, so the data overflowed float64" in result.output
+
     def test_finite_unstable_march_is_reported(self, runner, tmp_path):
         result = run(
             runner, "--out", tmp_path, "oscillator",
@@ -270,6 +305,43 @@ class TestOscillatorCommand:
         assert all(float(line.split(",")[2]) == 0.0 for line in lines[1:])
         doc = json.loads((tmp_path / "oscillator_summary.json").read_text())
         assert doc["sgei"] is None
+
+
+class TestSummaryContract:
+    COMMANDS = {
+        "mesh": (("mesh", "uniform:0,1,5"), "mesh_summary.json", "n_points=5,"),
+        "diff": (("diff", "--mesh", "uniform:0,1,11", "--function", "poly:c2=1", "--op", "c"),
+                 "diff_summary.json", "sgei="),
+        "consistency": (("consistency", "--spec", "d+ d+", "--alpha", 2), "consistency.json", "spec=d+ d+,"),
+        "order": (("order", "--op", "c", "--function", "sinusoid:frequency=4pi", "--mesh", "uniform:0,1,23",
+                   "--mesh", "uniform:0,1,45", "--mesh", "uniform:0,1,89"), "order_summary.json", "operator=c,"),
+        "oscillator": (("oscillator", "--mesh", "uniform:0,1,11"), "oscillator_summary.json", "sgei="),
+        "preset": (("preset", "fig5_1"), "fig5_1_summary.json", "schema_version=1,preset=fig5_1,beta=0.7"),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_summary_is_stamped_once_with_its_schema(self, runner, tmp_path, command):
+        args, filename, echo = self.COMMANDS[command]
+        result = run(runner, "--out", tmp_path, *args)
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / filename).read_text()
+        assert text.count('"schema_version"') == 1
+        assert json.loads(text)["schema_version"] == 1
+        assert result.output.startswith(echo)
+        assert ("schema_version" in result.output) == (command == "preset")
+
+    @pytest.mark.parametrize("args", [
+        ("mesh", "geometric:0,1,10,400"),
+        ("mesh", "uniform:-1e308,1e308,5"),
+        ("diff", "--mesh", "uniform:1e300,2e300,5", "--function", "sinusoid:frequency=1e10", "--op", "c"),
+    ])
+    def test_overflow_ends_in_a_named_error_without_numpy_warnings(self, runner, tmp_path, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(runner, "--out", tmp_path, *args)
+        assert result.exit_code == 1
+        assert "must all be finite" in result.output
+        assert caught == []
 
 
 class TestPresets:

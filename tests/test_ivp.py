@@ -151,6 +151,20 @@ class TestSolve:
         )
 
     @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    def test_stable_march_that_overflows_blames_the_data(self, operator):
+        # kappa*h**2 = 4pi^2/16 < 4: the march is stable, but data near the
+        # largest float overflow within two steps
+        problem = IvpProblem(kappa=4 * math.pi**2, mesh=build_uniform(0.0, 1.0, 5), operator=operator,
+                             initial_value=1e308, initial_slope=1e308)
+        with pytest.raises(MarchDivergedError) as info:
+            solve(problem)
+        assert info.value.max_growth <= 4
+        assert str(info.value).endswith(
+            "max kappa*c_k*h_k = 2.4674, within the stability limit 4, so the data overflowed float64"
+        )
+        assert "stays bounded only while" not in str(info.value)
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
     def test_finite_unstable_march_raises_a_named_error(self, operator):
         # kappa*h**2 = 1e4: the march grows to about 1e36 but stays finite
         problem = IvpProblem(kappa=1e6, mesh=build_uniform(0.0, 1.0, 11), operator=operator)

@@ -198,6 +198,15 @@ class TestMeshValidation:
         with pytest.raises(MeshError):
             Mesh(np.array([0.0, 2.0, 1.0]))
 
+    def test_non_increasing_points_are_named_as_plain_floats(self):
+        # numpy 2 reprs a float64 as np.float64(...); the message must not depend on that
+        with pytest.raises(MeshError) as info:
+            build_geometric(0.0, 1e-300, 1e-10, 3)
+        assert str(info.value) == (
+            "mesh points must be strictly increasing; "
+            "points[2]=1.0000000001e-300 >= points[3]=1.0000000001e-300"
+        )
+
     def test_rejects_non_finite_points(self):
         with pytest.raises(MeshError):
             Mesh(np.array([0.0, np.nan, 1.0]))
