@@ -87,3 +87,7 @@ run fail-mesh-geometric-overflow mesh "geometric:0,1,10,400"
 run fail-mesh-uniform-overflow mesh "uniform:-1e308,1e308,5"
 run fail-diff-sinusoid-overflow diff --mesh "uniform:1e300,2e300,5" --function "sinusoid:frequency=1e10" --op c
 run fail-oscillator-data-overflow oscillator --mesh "uniform:0,1,5" --initial-value 1e308 --initial-slope 1e308
+run fail-consistency-mesh-square-overflow consistency --spec "d+ d+" --mesh "uniform:0,1e200,9" --k 3
+run fail-consistency-alpha-cube-overflow consistency --spec "d+ d+" --alpha 1e60
+run fail-consistency-alpha-collapsed-points consistency --spec "d+ d+" --alpha 1e-60
+run fail-consistency-d2-alpha-nan consistency --spec d2 --alpha 1e-103

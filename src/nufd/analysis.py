@@ -30,7 +30,7 @@ from .diffops import (
     stencil,
 )
 from .functions import AnalyticFunction, sample
-from .mesh import Mesh
+from .mesh import Mesh, MeshError
 from .metrics import scaled_local_difference
 
 __all__ = [
@@ -85,20 +85,38 @@ def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[int, int, l
     return lo, hi, mesh.points[k + lo : k + hi + 1].tolist()
 
 
+def _not_expandable(op: Operator, index: int, x: list[float]) -> MeshError:
+    """The error for an expansion of ``op`` at ``index`` that float64 cannot form on the points ``x``."""
+    return MeshError(
+        f"cannot expand '{op}' at index {index} in float64: its weights, moments or remainder "
+        f"are not finite on the points {x} under its stencil"
+    )
+
+
 def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> ConsistencyReport:
     """The moments M_2 and M_3, sum_j w_j (t_{k+j} - t_k)**p / p!, from one pass over the stencil row.
 
     t_k is x[-lo].  Each moment is ``sum`` of a list in offset order, not a
     running ``+=``: from Python 3.12 ``sum`` of floats is compensated, so
-    the two differ there, and the bitwise tests pin the ``sum`` form.
+    the two differ there, and the bitwise tests pin the ``sum`` form.  Steps
+    that float64 cannot expand over (a weight or a power that overflows,
+    points that collapse, or inf * 0 where weights overflow and powers
+    underflow) raise MeshError.  They are detected after the fact, by the
+    exception or by a moment that is not finite, so the loop and every
+    finite moment stay as they were.
     """
     tk = x[-lo]
     squares, cubes = [], []
-    for j, w in stencil(spec, x):
-        d = x[j - lo] - tk
-        squares.append(w * d**2)
-        cubes.append(w * d**3)
-    leading = sum(squares) / 2
+    try:
+        for j, w in stencil(spec, x):
+            d = x[j - lo] - tk
+            squares.append(w * d**2)
+            cubes.append(w * d**3)
+    except ArithmeticError as exc:
+        raise _not_expandable(spec, index, x) from exc
+    leading, fppp = sum(squares) / 2, sum(cubes) / 6
+    if not (math.isfinite(leading) and math.isfinite(fppp)):
+        raise _not_expandable(spec, index, x)
     # the frozen dataclass's __init__ sets each field through object.__setattr__;
     # filling the instance dict at once gives the same object in a third of the time
     report = object.__new__(ConsistencyReport)
@@ -106,7 +124,7 @@ def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> Consis
         spec=spec,
         index=index,
         leading_coefficient=leading,
-        fppp_coefficient=sum(cubes) / 6,
+        fppp_coefficient=fppp,
         consistent=abs(leading - 1.0) <= CONSISTENCY_TOL,
         remainder_bracket=(x[0], x[-1]),
     )
@@ -191,11 +209,15 @@ def first_diff_error_bound(
     # the central difference, the only one that spans two steps
     t0, t1, t2 = x
     h0, h1 = t1 - t0, t2 - t1
+    try:
+        h0_sq, h1_sq = h0**2, h1**2
+    except ArithmeticError as exc:  # a step beyond about 1.3e154
+        raise _not_expandable(kind, k, x) from exc
     if mesh.is_uniform():
-        return (h1**2 / 3) * f.sup_abs(3, t0, t2)
+        return (h1_sq / 3) * f.sup_abs(3, t0, t2)
     sup_fwd = f.sup_abs(2, t1, t2)
     sup_bwd = f.sup_abs(2, t0, t1)
-    return (h1**2 * sup_fwd + h0**2 * sup_bwd) / (2 * (h1 + h0))
+    return (h1_sq * sup_fwd + h0_sq * sup_bwd) / (2 * (h1 + h0))
 
 
 def expansion_prediction(
@@ -216,18 +238,22 @@ def expansion_prediction(
     p = 5 if lo == -hi else 4
     # one pass over the stencil row; lists summed as in _report
     squares, cubes, fourths, remainders = [], [], [], []
-    for j, w in stencil(spec, x):
-        d = x[j - lo] - tk
-        squares.append(w * d**2)
-        cubes.append(w * d**3)
-        if p == 5:  # only the symmetric windows reach the fourth moment
-            fourths.append(w * d**4)
-        remainders.append(abs(w) * abs(d) ** p)
-    moments = [sum(squares) / 2, sum(cubes) / 6]
-    if p == 5:
-        moments.append(sum(fourths) / 24)
-    predicted = sum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
+    try:
+        for j, w in stencil(spec, x):
+            d = x[j - lo] - tk
+            squares.append(w * d**2)
+            cubes.append(w * d**3)
+            if p == 5:  # only the symmetric windows reach the fourth moment
+                fourths.append(w * d**4)
+            remainders.append(abs(w) * abs(d) ** p)
+    except ArithmeticError as exc:
+        raise _not_expandable(spec, k, x) from exc
+    m2, m3, m4 = sum(squares) / 2, sum(cubes) / 6, sum(fourths) / 24  # no fourths unless p == 5
     bound = sum(remainders) / math.factorial(p)
+    if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4) and math.isfinite(bound)):
+        raise _not_expandable(spec, k, x)
+    moments = (m2, m3, m4)
+    predicted = sum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
     return predicted, bound * f.sup_abs(p, x[0], x[-1])
 
 

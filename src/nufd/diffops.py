@@ -17,7 +17,7 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, _freeze
 
 __all__ = [
     "WindowError",
@@ -140,7 +140,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = _freeze(self.values)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("grid function values must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(vals)):
@@ -150,7 +150,6 @@ class GridFunction:
                 f"window [{self.first_index}, {self.first_index + vals.size - 1}] does not "
                 f"fit a mesh with {self.mesh.n_points} points"
             )
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

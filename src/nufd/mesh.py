@@ -76,6 +76,10 @@ class Mesh:
             raise MeshError(f"a mesh needs at least 2 points, got {pts.size}")
         if not np.all(np.isfinite(pts)):
             raise MeshError("mesh points must all be finite")
+        # for increasing points every step is at most the span, so one finite span bounds them all
+        a, b = float(pts[0]), float(pts[-1])
+        if not math.isfinite(b - a):
+            raise MeshError(f"mesh span t_last - t_0 = {b!r} - {a!r} is not a finite float")
         steps = np.diff(pts)
         if np.any(steps <= 0):
             bad = int(np.argmax(steps <= 0))
@@ -141,12 +145,17 @@ class Mesh:
         )
 
 
-def build_uniform(a: float, b: float, n_points: int) -> Mesh:
-    """Mesh of ``n_points`` equally spaced points from ``a`` to ``b``."""
+def _check_interval(a: float, b: float, n_points: int) -> None:
+    """Reject an interval that does not satisfy b > a, or fewer than 2 points."""
     if not b > a:
         raise MeshError(f"interval endpoints must satisfy b > a, got a={a!r}, b={b!r}")
     if n_points < 2:
         raise MeshError(f"n_points must be at least 2, got {n_points}")
+
+
+def build_uniform(a: float, b: float, n_points: int) -> Mesh:
+    """Mesh of ``n_points`` equally spaced points from ``a`` to ``b``."""
+    _check_interval(a, b, n_points)
     return Mesh(np.linspace(a, b, int(n_points)))
 
 
@@ -189,10 +198,7 @@ def build_equiarclength(
     samples, and the cumulative table is inverted by monotone linear
     interpolation.
     """
-    if not b > a:
-        raise MeshError(f"interval endpoints must satisfy b > a, got a={a!r}, b={b!r}")
-    if n_points < 2:
-        raise MeshError(f"n_points must be at least 2, got {n_points}")
+    _check_interval(a, b, n_points)
     if quad_resolution < n_points:
         raise MeshError(
             f"quad_resolution ({quad_resolution}) must be at least n_points ({n_points})"

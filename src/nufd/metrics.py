@@ -13,7 +13,7 @@ from typing import Literal
 import numpy as np
 
 from .diffops import GridFunction
-from .mesh import Mesh
+from .mesh import Mesh, _freeze
 
 __all__ = ["SldSeries", "scaled_local_difference", "classify"]
 
@@ -32,16 +32,10 @@ class SldSeries:
 
     def __post_init__(self) -> None:
         for name in ("reference", "approx", "sld"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def __len__(self) -> int:
         return int(self.sld.size)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.first_index, self.first_index + len(self))
 
     @property
     def t(self) -> np.ndarray:

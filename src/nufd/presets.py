@@ -164,63 +164,59 @@ def run_oscillator(problem: ivp.IvpProblem, target: Path) -> dict:
     return _sgei_summary(solution.sld)
 
 
-def _run_derivative_preset(name: str, beta: float, out_dir: Path) -> dict:
-    op = _DERIVATIVE_PRESETS[name]
-    f = section5_function()
-    summary: dict = {
-        "preset": name,
-        "operator": str(op),
-        "function": f.label,
-        "beta": beta,
-    }
-    for variant, mesh in (
-        ("uniform", section5_uniform_mesh()),
-        ("nonuniform", section5_nonuniform_mesh(beta)),
-    ):
-        result = run_custom(mesh, f, op, out_dir=out_dir, prefix=f"{name}_{variant}")
-        summary.update({f"{key}_{variant}": result[key] for key in _SGEI_KEYS})
-    return summary
-
-
-def _run_oscillator_preset(out_dir: Path) -> dict:
-    geometric, uniform = oscillator_meshes()
-    summary: dict = {
-        "preset": "ex5_5",
-        "kappa": OSCILLATOR_KAPPA,
-        "operator": str(ivp.BACKWARD_FORWARD),
-        "b": geometric.b,
-        "h_uniform": float(uniform.steps[0]),
-    }
-    for variant, mesh in (("geometric", geometric), ("uniform", uniform)):
-        problem = ivp.IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh)
-        result = run_oscillator(problem, out_dir / f"ex5_5_{variant}.csv")
-        summary.update({f"{key}_{variant}": result[key] for key in _SGEI_KEYS})
-    return summary
-
-
-def _run_mesh_profile_preset(beta: float, out_dir: Path) -> dict:
-    meshes = {
-        "uniform": section5_uniform_mesh(),
-        "nonuniform": section5_nonuniform_mesh(beta),
-    }
-    summary: dict = {"preset": "fig5_1", "beta": beta}
-    for variant, mesh in meshes.items():
-        write_mesh_csv(mesh, out_dir / f"fig5_1_{variant}_mesh.csv")
-        ratios = smoothness_ratios(mesh)
-        _write_columns(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), first_index=0)
-        summary[f"steps_{variant}"] = [float(h) for h in mesh.steps]
-        summary[f"ratios_{variant}"] = [float(r) for r in ratios]
-    return summary
+def _section5_pairs(beta: float) -> tuple[tuple[str, Mesh], ...]:
+    """The (variant, mesh) pairs of the derivative studies and the mesh profile."""
+    return ("uniform", section5_uniform_mesh()), ("nonuniform", section5_nonuniform_mesh(beta))
 
 
 def run_preset(name: str, out_dir: Path, beta: float = DEFAULT_BETA) -> dict:
-    """Run the preset ``name``, writing its CSV files into ``out_dir``."""
+    """Run the preset ``name``, writing its CSV files into ``out_dir``.
+
+    A preset is its summary head, its two (variant, mesh) pairs and a run of
+    one pair; every key that run returns enters the summary with the
+    variant's name as suffix.
+    """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "ex5_5":
-        return _run_oscillator_preset(out_dir)
-    if name == "fig5_1":
-        return _run_mesh_profile_preset(beta, out_dir)
-    return _run_derivative_preset(name, beta, out_dir)
+        geometric, uniform = oscillator_meshes()
+        summary: dict = {
+            "preset": name,
+            "kappa": OSCILLATOR_KAPPA,
+            "operator": str(ivp.BACKWARD_FORWARD),
+            "b": geometric.b,
+            "h_uniform": float(uniform.steps[0]),
+        }
+        pairs = (("geometric", geometric), ("uniform", uniform))
+
+        def run(variant: str, mesh: Mesh) -> dict:
+            problem = ivp.IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh)
+            return run_oscillator(problem, out_dir / f"ex5_5_{variant}.csv")
+    elif name == "fig5_1":
+        summary = {"preset": name, "beta": beta}
+        pairs = _section5_pairs(beta)
+
+        def run(variant: str, mesh: Mesh) -> dict:
+            write_mesh_csv(mesh, out_dir / f"fig5_1_{variant}_mesh.csv")
+            ratios = smoothness_ratios(mesh)
+            _write_columns(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), first_index=0)
+            return {"steps": [float(h) for h in mesh.steps], "ratios": [float(r) for r in ratios]}
+    else:
+        op = _DERIVATIVE_PRESETS[name]
+        f = section5_function()
+        summary = {
+            "preset": name,
+            "operator": str(op),
+            "function": f.label,
+            "beta": beta,
+        }
+        pairs = _section5_pairs(beta)
+
+        def run(variant: str, mesh: Mesh) -> dict:
+            result = run_custom(mesh, f, op, out_dir=out_dir, prefix=f"{name}_{variant}")
+            return {key: result[key] for key in _SGEI_KEYS}
+    for variant, mesh in pairs:
+        summary.update({f"{key}_{variant}": value for key, value in run(variant, mesh).items()})
+    return summary

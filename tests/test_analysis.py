@@ -12,6 +12,7 @@ from nufd import (
     D2_CORRECTED,
     FirstDiffKind,
     Mesh,
+    MeshError,
     SecondDiffSpec,
     WindowError,
     build_uniform,
@@ -358,6 +359,51 @@ class TestExpansionPrediction:
         f = make_polynomial([0, 0, 1])
         with pytest.raises(ValueError):
             expansion_prediction(SecondDiffSpec(C, C), f, build_uniform(0, 1, 5), 1)
+
+
+class TestFloat64Failures:
+    """Steps float64 cannot expand over end in a MeshError naming the operator, the index and the points."""
+
+    SINE = make_sinusoid(1.0, 1.0)
+
+    @staticmethod
+    def assert_named(info, op, k, points):
+        assert f"cannot expand '{op}' at index {k} in float64" in str(info.value)
+        assert f"on the points {list(points)} under its stencil" in str(info.value)
+
+    @pytest.mark.parametrize("interval,k", [
+        ((0.0, 1e200, 9), 3),  # (t_{k+j} - t_k)**2 overflows
+        ((0.0, 1e-310, 9), 4),  # subnormal steps: the weights overflow, the powers underflow, inf * 0 is NaN
+    ], ids=["square-overflow", "subnormal-steps"])
+    def test_consistency_report_at(self, interval, k):
+        mesh = build_uniform(*interval)
+        with pytest.raises(MeshError) as info:
+            consistency_report_at(SecondDiffSpec(F, F), mesh, k)
+        self.assert_named(info, "d+ d+", k, mesh.points[k : k + 3].tolist())
+
+    @pytest.mark.parametrize("spec,alpha,points", [
+        (SecondDiffSpec(F, F), 1e60, [0.0, 1e60**2, 1e60**2 + 1e60**3]),  # the cube of the offset overflows
+        (SecondDiffSpec(F, F), 1e-60, [0.0, 1e-120, 1e-120]),  # 1e-120 + 1e-180 collapses onto 1e-120
+        (D2_CORRECTED, 1e-103, [-1e-103, 0.0, 1e-103**2]),  # an inner weight overflows, NaN moments
+    ], ids=["cube-overflow", "collapsed-points", "nan-moment"])
+    def test_geometric_consistency(self, spec, alpha, points):
+        with pytest.raises(MeshError) as info:
+            geometric_consistency(spec, alpha)
+        self.assert_named(info, spec, 2, points)
+
+    @pytest.mark.parametrize("spec", [SecondDiffSpec(B, F), D2_CORRECTED])
+    @pytest.mark.parametrize("interval", [(0.0, 1e70, 9), (0.0, 1e-310, 9)], ids=["power-overflow", "subnormal-steps"])
+    def test_expansion_prediction(self, spec, interval):
+        mesh = build_uniform(*interval)
+        with pytest.raises(MeshError) as info:
+            expansion_prediction(spec, self.SINE, mesh, 4)
+        self.assert_named(info, spec, 4, mesh.points[3:6].tolist())
+
+    def test_first_diff_error_bound(self):
+        mesh = build_uniform(0.0, 1e160, 9)  # the squared step overflows
+        with pytest.raises(MeshError) as info:
+            first_diff_error_bound(C, self.SINE, mesh, 4)
+        self.assert_named(info, "c", 4, mesh.points[3:6].tolist())
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -17,7 +18,7 @@ from nufd import (
     sample,
     scaled_local_difference,
 )
-from nufd.cli import main
+from nufd.cli import _emit, main
 from nufd.diffops import derivative_order
 from nufd.mesh import _BLOCK_ROWS
 
@@ -186,10 +187,23 @@ class TestConsistencyCommand:
         assert not (tmp_path / "consistency.json").exists()
 
     def test_a_nan_coefficient_is_not_written_as_json(self, runner, tmp_path):
-        # subnormal steps: the moments underflow and the coefficient is NaN
+        # subnormal steps: the weights overflow while the powers of the offsets underflow, and inf * 0 is NaN
         result = run(runner, "--out", tmp_path, "consistency", "--spec", "d+ d+", "--mesh", "uniform:0,1e-310,9", "--k", 4)
         assert result.exit_code == 1
-        assert "not JSON compliant" in result.output
+        assert "Error: cannot expand 'd+ d+' at index 4 in float64" in result.output
+        assert not (tmp_path / "consistency.json").exists()
+
+    @pytest.mark.parametrize("args,named", [
+        (("--spec", "d+ d+", "--mesh", "uniform:0,1e200,9", "--k", 3), "'d+ d+' at index 3"),
+        (("--spec", "d+ d+", "--alpha", "1e60"), "'d+ d+' at index 2"),
+        (("--spec", "d+ d+", "--alpha", "1e-60"), "on the points [0.0, 1e-120, 1e-120]"),
+        (("--spec", "d2", "--alpha", "1e-103"), "'d2' at index 2"),
+    ], ids=["square-overflow", "cube-overflow", "collapsed-points", "nan-moment"])
+    def test_steps_float64_cannot_expand_over_are_named(self, runner, tmp_path, args, named):
+        result = run(runner, "--out", tmp_path, "consistency", *args)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: cannot expand ")
+        assert named in result.output
         assert not (tmp_path / "consistency.json").exists()
 
 
@@ -330,6 +344,12 @@ class TestSummaryContract:
         assert result.output.startswith(echo)
         assert ("schema_version" in result.output) == (command == "preset")
 
+    def test_a_nan_value_is_refused_before_the_file_is_written(self, tmp_path):
+        ctx = click.Context(main, obj={"out": tmp_path, "fmt": "csv"})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit(ctx, "nan.json", {"value": math.nan})
+        assert not (tmp_path / "nan.json").exists()
+
     @pytest.mark.parametrize("args", [
         ("mesh", "geometric:0,1,10,400"),
         ("mesh", "uniform:-1e308,1e308,5"),
@@ -400,6 +420,25 @@ class TestPresets:
         assert result.exit_code == 0
         echoed = json.loads(result.output)
         assert echoed["preset"] == "ex5_1"
+
+    DERIVATIVE_KEYS = ["preset", "operator", "function", "beta",
+                       "sgei_uniform", "argmax_t_uniform", "classification_uniform",
+                       "sgei_nonuniform", "argmax_t_nonuniform", "classification_nonuniform"]
+    KEYS = {
+        "ex5_1": DERIVATIVE_KEYS,
+        "ex5_2": DERIVATIVE_KEYS,
+        "ex5_3": DERIVATIVE_KEYS,
+        "ex5_4": DERIVATIVE_KEYS,
+        "ex5_5": ["preset", "kappa", "operator", "b", "h_uniform",
+                  "sgei_geometric", "argmax_t_geometric", "classification_geometric",
+                  "sgei_uniform", "argmax_t_uniform", "classification_uniform"],
+        "fig5_1": ["preset", "beta", "steps_uniform", "ratios_uniform", "steps_nonuniform", "ratios_nonuniform"],
+    }
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_summary_keys_come_in_their_order(self, tmp_path, name):
+        # the `nufd preset` echo line lists the keys in this order
+        assert list(presets.run_preset(name, tmp_path)) == self.KEYS[name]
 
     def test_unknown_name_is_rejected_with_the_known_names(self, tmp_path):
         with pytest.raises(ValueError) as raised:

@@ -1,6 +1,8 @@
+import functools
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,18 @@ class TestBuildUniform:
     def test_rejects_too_few_points(self):
         with pytest.raises(MeshError):
             build_uniform(0, 1, 1)
+
+
+@pytest.mark.parametrize("build", [build_uniform, functools.partial(build_equiarclength, make_polynomial([0, 1]))],
+                         ids=["uniform", "equiarclength"])
+@pytest.mark.parametrize("a,b,n,message", [
+    (1.0, 1.0, 5, "interval endpoints must satisfy b > a, got a=1.0, b=1.0"),
+    (0.0, 1.0, 1, "n_points must be at least 2, got 1"),
+], ids=["empty-interval", "one-point"])
+def test_both_interval_builders_give_one_message(build, a, b, n, message):
+    with pytest.raises(MeshError) as info:
+        build(a, b, n)
+    assert str(info.value) == message
 
 
 class TestBuildGeometric:
@@ -210,6 +224,13 @@ class TestMeshValidation:
     def test_rejects_non_finite_points(self):
         with pytest.raises(MeshError):
             Mesh(np.array([0.0, np.nan, 1.0]))
+
+    def test_rejects_a_span_that_is_not_a_finite_float(self):
+        # increasing points whose first step, t_1 - t_0, overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="mesh span t_last - t_0 = 1.5e"):
+                Mesh(np.array([-1e308, 1e308, 1.5e308]))
 
     def test_rejects_single_point(self):
         with pytest.raises(MeshError):
