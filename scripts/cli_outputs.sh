@@ -91,3 +91,4 @@ run fail-consistency-mesh-square-overflow consistency --spec "d+ d+" --mesh "uni
 run fail-consistency-alpha-cube-overflow consistency --spec "d+ d+" --alpha 1e60
 run fail-consistency-alpha-collapsed-points consistency --spec "d+ d+" --alpha 1e-60
 run fail-consistency-d2-alpha-nan consistency --spec d2 --alpha 1e-103
+run oscillator-stable-overflowing-bounds oscillator --kappa 1e124 --mesh "uniform:0,1e-61,11"

@@ -5,11 +5,18 @@ Usage: python3 scripts/timings.py [--src DIR ...]
 Each --src is a directory holding the nufd package (a checkout's src/); the
 default is this checkout's.  Every tree is imported once, side by side in this
 one interpreter, as the package ``nufd_<i>`` for the i-th --src.  There are
-four case sets:
+five case sets:
 
 - scalar: each case calls one function over a fixed list of 500 argument
   tuples built from a 2,001-point jittered mesh (seed 2001); a call set is
   all 500 calls, so the figures include the cost of the Python loop;
+- small: paper-scale calls, where the fixed cost of each call dominates; a
+  call set is 200 calls with the same arguments.  ``solve`` with ``d- d+``
+  and with ``d2``, kappa = 4 pi^2, on the ex5_5 meshes (the 202-point
+  geometric mesh and the 11-point uniform one), and the 1,000-point array
+  pipeline: ``Mesh`` of 1,000 jittered points (seed 2001), ``sample`` of
+  -sin(4 pi t) and of its second derivative, ``d- d+`` by
+  ``apply_operator`` and ``scaled_local_difference``;
 - csv: each case makes one call that writes into a temporary directory:
   ``run_custom`` with the `c c` operator against the exact second derivative
   of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7`` (39,999 points), which
@@ -50,10 +57,13 @@ DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
 MARCH_POINTS = 100_000
 ARRAY_POINTS = 1_000_000
+SMALL_CALLS = 200
+SMALL_ARRAY_POINTS = 1_000
 
 # case set -> (unit, units per second, rounds, decimals)
 CASE_SETS = {
     "scalar": ("µs", 1e6, 41, 3),
+    "small": ("µs", 1e6, 41, 2),
     "csv": ("ms", 1e3, 25, 2),
     "march": ("ms", 1e3, 41, 3),
     "arrays": ("ms", 1e3, 31, 2),
@@ -111,6 +121,32 @@ def _scalar_cases(nufd, out: Path) -> dict[str, tuple]:
     return cases
 
 
+def _small_cases(nufd, out: Path) -> dict[str, tuple]:
+    """name -> (function, one argument tuple repeated); public API only, so any tree can run it."""
+    presets = importlib.import_module(f"{nufd.__name__}.presets")
+    meshes = dict(zip(("202-point geometric", "11-point uniform"), presets.oscillator_meshes()))
+    operators = {"d- d+": nufd.BACKWARD_FORWARD, "d2": nufd.D2_CORRECTED}
+    cases = {
+        f"solve {label} ({name})": (
+            nufd.solve, [(nufd.IvpProblem(kappa=4 * math.pi**2, mesh=mesh, operator=op),)] * SMALL_CALLS
+        )
+        for name, mesh in meshes.items()
+        for label, op in operators.items()
+    }
+    f = nufd.make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
+
+    def pipeline(points, op):
+        mesh = nufd.Mesh(points)
+        approx = nufd.apply_operator(op, nufd.sample(f, 0, mesh))
+        return nufd.scaled_local_difference(nufd.sample(f, 2, mesh), approx)
+
+    points = _jittered(nufd, SMALL_ARRAY_POINTS).points
+    cases["mesh to sld, d- d+ (1,000 points)"] = (
+        pipeline, [(points, nufd.BACKWARD_FORWARD)] * SMALL_CALLS
+    )
+    return cases
+
+
 def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
     """name -> (function, one argument tuple); public API only, so any tree can run it."""
     presets = importlib.import_module(f"{nufd.__name__}.presets")
@@ -156,7 +192,7 @@ def _array_cases(nufd, out: Path) -> dict[str, tuple]:
     }
 
 
-_BUILDERS = {"scalar": _scalar_cases, "csv": _csv_cases, "march": _march_cases, "arrays": _array_cases}
+_BUILDERS = {"scalar": _scalar_cases, "small": _small_cases, "csv": _csv_cases, "march": _march_cases, "arrays": _array_cases}
 
 
 def _per_call(fn, args: list[tuple]) -> float:

@@ -143,7 +143,7 @@ class GridFunction:
         vals = _freeze(self.values)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("grid function values must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function values must all be finite")
         if self.first_index < 0 or self.first_index + vals.size > self.mesh.n_points:
             raise ValueError(
@@ -282,10 +282,15 @@ def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:
     divides by: t_k - t_{k-1} for d- d+, t_{k+1} - t_k for d+ d- and (t_{k+1} - t_{k-1}) / 2
     for d2.  Any other operator, or anything that is not one, raises UnmarchableOperatorError.
     """
+    return _outer_divisor(_marchable(op), t, len(t) - 2)
+
+
+def _marchable(op: Operator) -> _Plan:
+    """The plan of a slope jump on k-1, k, k+1; UnmarchableOperatorError for any other operator or non-operator."""
     plan = getattr(op, "plan", None)
     if plan is None or (plan.lo, plan.hi, plan.inner) != (-1, 1, (0, 1, 1, 2)):
         raise UnmarchableOperatorError(f"cannot march '{op}': the march takes d- d+, d+ d- and d2")
-    return _outer_divisor(plan, t, len(t) - 2)
+    return plan
 
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:

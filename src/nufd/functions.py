@@ -7,6 +7,7 @@ exact n-th derivative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -185,37 +186,40 @@ def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
     return AnalyticFunction(label=f"poly({pretty})", evaluator=evaluator, supremum=supremum)
 
 
+def _oscillator_motion(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float, order: int, t):
+    """The ``order``-th derivative at ``t`` of the solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope.
+
+    omega**n * (c_sin*sin(x) + c_cos*cos(x)) with x = omega*(t - t0) + n*pi/2,
+    omega = sqrt(kappa), c_sin = slope/omega and c_cos = value, in place on
+    two buffers; a 0-d ``t`` gives a numpy scalar.  No derivative bound is
+    formed, so any kappa whose motion is finite at ``t`` evaluates.
+    """
+    omega = math.sqrt(kappa)
+    x = np.array(t, dtype=np.float64)
+    x -= t0
+    x *= omega
+    x += order * np.pi / 2
+    c = np.cos(x)
+    np.sin(x, out=x)
+    x *= slope_at_t0 / omega
+    c *= value_at_t0
+    x += c
+    x *= omega**order
+    return x if x.ndim else x[()]
+
+
 def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float = 0.0) -> AnalyticFunction:
-    """Solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope."""
+    """Solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope, evaluated by :func:`_oscillator_motion`."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     label = f"oscillator(kappa={kappa:g})"
-    omega = np.sqrt(kappa)
-    c_cos = value_at_t0
-    c_sin = slope_at_t0 / omega
+    omega = math.sqrt(kappa)
+    c_sin, c_cos = slope_at_t0 / omega, value_at_t0
     # c_sin*sin(x) + c_cos*cos(x) = R*sin(x + atan2(c_cos, c_sin)), a sinusoid in t.
-    supremum = _sinusoid_supremum(
-        label, math.hypot(c_sin, c_cos), float(omega), math.atan2(c_cos, c_sin) - float(omega) * t0
-    )
-
-    def evaluator(order: int, t):
-        # omega**n * (c_sin*sin(x) + c_cos*cos(x)), x = omega*(t - t0) + n*pi/2, in place on two buffers
-        x = np.array(t, dtype=np.float64)
-        x -= t0
-        x *= omega
-        x += order * np.pi / 2
-        c = np.cos(x)
-        np.sin(x, out=x)
-        x *= c_sin
-        c *= c_cos
-        x += c
-        x *= omega**order
-        return x if x.ndim else x[()]
-
     return AnalyticFunction(
         label=label,
-        evaluator=evaluator,
-        supremum=supremum,
+        evaluator=functools.partial(_oscillator_motion, kappa, value_at_t0, slope_at_t0, t0),
+        supremum=_sinusoid_supremum(label, math.hypot(c_sin, c_cos), omega, math.atan2(c_cos, c_sin) - omega * t0),
     )
 
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffops import FirstDiffKind, GridFunction, SecondDiffSpec, SecondOperator, slope_jump_divisors
-from .functions import _oscillator, sample
+from .diffops import FirstDiffKind, GridFunction, SecondDiffSpec, SecondOperator, _marchable, slope_jump_divisors
+from .functions import _oscillator_motion
 from .mesh import Mesh
 from .metrics import SldSeries, scaled_local_difference
 
@@ -97,7 +97,7 @@ class IvpProblem:
             raise ValueError("marching needs a mesh with at least 3 points")
         if not (math.isfinite(self.initial_value) and math.isfinite(self.initial_slope)):
             raise ValueError("the initial value and slope must be finite")
-        slope_jump_divisors(self.operator, self.mesh.points[:3])  # or UnmarchableOperatorError
+        _marchable(self.operator)  # or UnmarchableOperatorError
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,11 @@ class IvpSolution:
     sld: SldSeries | None = field(default=None)
 
 
+# The w of the two basis states (1, 0) and (0, 1), broadcast over the blocks; never written.
+_UNIT_W = np.array(((1.0,), (0.0,)))
+_UNIT_W.setflags(write=False)
+
+
 def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -> np.ndarray:
     """Blocked value–slope march from the state (w_1, v_0).
 
@@ -126,26 +131,24 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
     blocks = -(-m // length)
     full, rest = divmod(m, length)
 
-    def by_step(x: np.ndarray) -> np.ndarray:
-        # (length, blocks) layout: row i holds step i of every block.  The
-        # padding steps have zero growth and step, so they are the identity.
-        out = np.empty((length, blocks))
-        out.T[:full] = x[: full * length].reshape(full, length)
-        if rest:
-            out[:rest, full] = x[full * length :]
-            out[rest:, full] = 0.0
-        return out
+    # (length, blocks) layouts of the growths and steps: row i holds step i of
+    # every block.  The padding steps have zero growth and step, so they are the identity.
+    a, hs = layout = np.empty((2, length, blocks))
+    a.T[:full] = growth[: full * length].reshape(full, length)
+    hs.T[:full] = h[: full * length].reshape(full, length)
+    if rest:
+        a[:rest, full] = growth[full * length :]
+        hs[:rest, full] = h[full * length :]
+        layout[:, rest:, full] = 0.0
 
-    a, hs = by_step(growth), by_step(h)
-    basis = np.empty((2, length, blocks))
-    w = np.zeros((2, blocks))
+    # basis[i] is the state w after step i from (w, v) = (1, 0) and (0, 1).
+    basis = np.empty((length, 2, blocks))
+    w = _UNIT_W
     v = np.zeros((2, blocks))
-    w[0] = 1.0
     v[1] = 1.0
     for i in range(length):
         v -= a[i] * w
-        w += hs[i] * v
-        basis[:, i] = w
+        w = np.add(w, hs[i] * v, out=basis[i])
 
     # Chain the block transfers [[w[0], w[1]], [v[0], v[1]]] from the start.
     xs, ys = [], []
@@ -156,18 +159,21 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
         xs.append(x)
         ys.append(y)
         x, y = p * x + q * y, r * x + s * y
-    starts = np.zeros((2, 1, blocks))
-    starts[0, 0, : len(xs)] = xs
-    starts[1, 0, : len(ys)] = ys
+    if len(xs) == blocks:
+        starts = np.array((xs, ys))
+    else:
+        starts = np.zeros((2, blocks))
+        starts[0, : len(xs)] = xs
+        starts[1, : len(ys)] = ys
 
     # A zero start component contributes exactly zero, not 0 * inf.
     if not starts.all():
         np.copyto(basis, 0.0, where=starts == 0.0)
-    # basis[0] * starts[0] + basis[1] * starts[1], formed in place
+    # basis[:, 0] * starts[0] + basis[:, 1] * starts[1], formed in place
     basis *= starts
     out = np.empty(2 + blocks * length)
     out[0], out[1] = w0, w1
-    np.add(basis[0], basis[1], out=out[2:].reshape(blocks, length).T)
+    np.add(basis[:, 0], basis[:, 1], out=out[2:].reshape(blocks, length).T)
     return out[: m + 2]
 
 
@@ -200,21 +206,23 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     growth = kappa * slope_jump_divisors(problem.operator, mesh.points)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _march(float(w0), float(w1), float(v0), h[1:], growth)
-        growth_h = growth * h[1:]  # kappa*c_k*h_k
-    worst = float(growth_h.max())
-    finite = np.isfinite(w)
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise MarchDivergedError(index, float(mesh.points[index]), worst)
+        growth *= h[1:]  # kappa*c_k*h_k
+    worst = float(np.maximum.reduce(growth))
+    try:
+        numeric = GridFunction(mesh, 0, w)
+    except ValueError:  # the one check w can fail: a value that is not finite
+        index = int(np.argmin(np.isfinite(w)))
+        raise MarchDivergedError(index, float(mesh.points[index]), worst) from None
     if (w0 or w1) and worst > 4:
-        k = 1 + int(np.argmax(growth_h > 4))
+        k = 1 + int(np.argmax(growth > 4))
         raise MarchUnstableError(f"the march is unstable: kappa*h**2 = {worst:.6g} exceeds the stability limit 4 "
                                  f"(max of kappa*c_k*h_k; first above 4 at k = {k}, t = {mesh.points[k]:.6g})")
 
-    numeric = GridFunction(mesh, 0, w)
-    phi = _oscillator(kappa, problem.initial_value, problem.initial_slope, t0=mesh.a)
-    exact = sample(phi, 0, mesh)
-    if not exact.values.any():
+    # only the motion itself: its derivative bounds, which may overflow, are never read
+    motion = _oscillator_motion(kappa, problem.initial_value, problem.initial_slope, mesh.a, 0, mesh.points)
+    exact = GridFunction(mesh, 0, motion)
+    # the motion at t_0 is the initial value itself, so only a zero initial value needs the scan
+    if not (problem.initial_value or exact.values.any()):
         return IvpSolution(w=numeric, exact=exact, sld=None)
     return IvpSolution(w=numeric, exact=exact, sld=scaled_local_difference(exact, numeric))
 

@@ -51,7 +51,7 @@ class MeshError(ValueError):
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -74,21 +74,22 @@ class Mesh:
             raise MeshError("mesh points must form a one-dimensional sequence")
         if pts.size < 2:
             raise MeshError(f"a mesh needs at least 2 points, got {pts.size}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise MeshError("mesh points must all be finite")
         # for increasing points every step is at most the span, so one finite span bounds them all
         a, b = float(pts[0]), float(pts[-1])
         if not math.isfinite(b - a):
             raise MeshError(f"mesh span t_last - t_0 = {b!r} - {a!r} is not a finite float")
-        steps = np.diff(pts)
-        if np.any(steps <= 0):
-            bad = int(np.argmax(steps <= 0))
+        # compared before any step is formed: a step of points out of order may overflow
+        increasing = pts[1:] > pts[:-1]
+        if not increasing.all():
+            bad = int(np.argmin(increasing))
             raise MeshError(
                 f"mesh points must be strictly increasing; "
                 f"points[{bad}]={float(pts[bad])!r} >= points[{bad + 1}]={float(pts[bad + 1])!r}"
             )
         object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "_steps", _freeze(steps))
+        object.__setattr__(self, "_steps", _freeze(pts[1:] - pts[:-1]))
 
     @property
     def steps(self) -> np.ndarray:

@@ -86,7 +86,7 @@ def scaled_local_difference(reference: GridFunction, approx: GridFunction) -> Sl
 
 def _max_abs(a: np.ndarray) -> float:
     """max |a| without forming |a|: exact, and +0.0, never -0.0, for an all-zero ``a``."""
-    return float(abs(max(a.max(), -a.min())))
+    return float(abs(max(np.maximum.reduce(a), -np.minimum.reduce(a))))
 
 
 def classify(sgei: float) -> Literal["acceptable", "unacceptable"]:

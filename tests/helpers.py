@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, make_polynomial, make_sinusoid
+import math
+
+from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, build_geometric, make_polynomial, make_sinusoid
 
 EPS = np.finfo(float).eps
 
@@ -41,6 +43,20 @@ def jittered_family(seed: int, n_steps_list=(44, 88, 176, 352, 704), jitter: flo
         points = np.concatenate(([0.0], np.cumsum(steps)))
         family.append(Mesh(points / points[-1]))
     return family
+
+
+MESH_FAMILIES = ("jittered", "geometric", "offset", "uniform")
+
+
+def family_mesh(rng: np.random.Generator, family: str, n_points: int) -> Mesh:
+    """A random ``n_points`` mesh of one of the ``MESH_FAMILIES``."""
+    if family == "jittered":
+        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8)
+    if family == "geometric":
+        return build_geometric(0.0, rng.uniform(0.01, 1.0), rng.uniform(0.5, 2.0), n_points - 2)
+    if family == "offset":
+        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8, start=1e6)
+    return exact_uniform_mesh(rng, n_points)
 
 
 def reference_columns_csv(header: str, columns, first_index: int | None = None,
@@ -135,6 +151,81 @@ def long_double_march(t: np.ndarray, kappa: float, value: float, slope: float, o
         else:
             w[k + 1] = ((hp + hm) * w[k] - hp * w[k - 1] - kap * w[k] * hp * hm * hm) / hm
     return w
+
+
+def padded_march(w0, w1, v0, h, growth):
+    """The blocked march as first written, and the number of blocks its chain gave a start.
+
+    Zero-padded (length, blocks) copies of the steps and growths, and one
+    expression combining the basis with the starts; kept as the bitwise
+    oracle of ``nufd.ivp._march``.
+    """
+    m = h.size
+    length = max(1, math.isqrt(m // 10))
+    blocks = -(-m // length)
+
+    def by_step(x):
+        padded = np.zeros(blocks * length)
+        padded[:m] = x
+        return np.ascontiguousarray(padded.reshape(blocks, length).T)
+
+    a, hs = by_step(growth), by_step(h)
+    basis = np.empty((2, length, blocks))
+    w = np.zeros((2, blocks))
+    v = np.zeros((2, blocks))
+    w[0] = 1.0
+    v[1] = 1.0
+    for i in range(length):
+        v -= a[i] * w
+        w += hs[i] * v
+        basis[:, i] = w
+    xs, ys = [], []
+    x, y = w1, v0
+    for p, q, r, s in zip(*w.tolist(), *v.tolist()):
+        if not (x or y):
+            break
+        xs.append(x)
+        ys.append(y)
+        x, y = p * x + q * y, r * x + s * y
+    starts = np.zeros((2, 1, blocks))
+    starts[0, 0, : len(xs)] = xs
+    starts[1, 0, : len(ys)] = ys
+    np.copyto(basis, 0.0, where=starts == 0.0)
+    out = np.empty(2 + blocks * length)
+    out[0], out[1] = w0, w1
+    out[2:].reshape(blocks, length).T[...] = basis[0] * starts[0] + basis[1] * starts[1]
+    return out[: m + 2], len(xs)
+
+
+def oscillator_expression(kappa, value, slope, t0, order, t):
+    """The oscillator motion's evaluator as one expression, as first written."""
+    omega = np.sqrt(kappa)
+    c_sin, c_cos = slope / omega, value
+    arg = omega * (np.asarray(t, dtype=np.float64) - t0) + order * np.pi / 2
+    return omega**order * (c_sin * np.sin(arg) + c_cos * np.cos(arg))
+
+
+def reference_solve(t: np.ndarray, kappa: float, value: float, slope: float, op: str):
+    """(w, exact, sld, scale, sgei) of ``nufd.solve`` from the forward-difference start, as first written.
+
+    sld and sgei are None where the exact motion vanishes on every point (scale 0).
+
+    ``op`` is "d- d+", "d+ d-" or "d2".  The march is :func:`padded_march`
+    over the divisors c_k = t_k - t_{k-1}, t_{k+1} - t_k or
+    (t_{k+1} - t_{k-1}) / 2, the exact motion is
+    :func:`oscillator_expression` of order 0 from t0 = t_0, and the sld is
+    (exact - w) / max|exact|.
+    """
+    h = np.diff(t)
+    divisors = {"d- d+": t[1:-1] - t[:-2], "d+ d-": t[2:] - t[1:-1], "d2": (t[2:] - t[:-2]) / 2.0}[op]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, _ = padded_march(value, value + h[0] * slope, slope, h[1:], kappa * divisors)
+    exact = oscillator_expression(kappa, value, slope, t[0], 0, t)
+    scale = float(np.max(np.abs(exact)))
+    if scale == 0.0:
+        return w, exact, None, scale, None
+    sld = (exact - w) / scale
+    return w, exact, sld, scale, float(np.max(np.abs(sld)))
 
 
 # Index offsets (b, a) of the two points each first difference reads:

@@ -282,6 +282,14 @@ class TestOscillatorCommand:
         assert "the march is unstable" in result.output
         assert "k = 1, t = 0.1" in result.output
 
+    def test_stable_march_with_overflowing_derivative_bounds(self, runner, tmp_path):
+        # kappa*h**2 = 1 while sqrt(kappa)**5 overflows; the march needs only the motion itself
+        result = run(runner, "--out", tmp_path, "oscillator", "--kappa", "1e124", "--mesh", "uniform:0,1e-61,11")
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "oscillator_summary.json").read_text())
+        assert doc["classification"] == "acceptable"
+        assert len((tmp_path / "oscillator.csv").read_text().splitlines()) == 13
+
     def test_diverging_march_is_reported(self, runner, tmp_path):
         result = run(
             runner, "--out", tmp_path, "oscillator",

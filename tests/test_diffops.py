@@ -27,7 +27,7 @@ from nufd import (
 )
 from nufd.diffops import derivative_order, slope_jump_divisors, stencil, stencil_offsets
 
-from helpers import EPS, exact_uniform_mesh, random_mesh, stencil_scale
+from helpers import EPS, MESH_FAMILIES, family_mesh, random_mesh, stencil_scale
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 
@@ -250,19 +250,6 @@ class TestStencil:
                 assert np.all(np.abs(weighted - evaluated) <= 8 * EPS * scale)
 
 
-MESH_FAMILIES = ("jittered", "geometric", "offset", "uniform")
-
-
-def _family_mesh(rng, family, n_points):
-    if family == "jittered":
-        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8)
-    if family == "geometric":
-        return build_geometric(0.0, rng.uniform(0.01, 1.0), rng.uniform(0.5, 2.0), n_points - 2)
-    if family == "offset":
-        return random_mesh(rng, n_points - 1, lo=0.2, hi=1.8, start=1e6)
-    return exact_uniform_mesh(rng, n_points)
-
-
 # the points (b, a) each first difference reads, relative to its output index
 QUOTIENT_OFFSETS = {F: (0, 1), B: (-1, 0), C: (-1, 1)}
 
@@ -283,7 +270,7 @@ class TestOnePlanApplication:
     def test_first_difference_is_its_quotient_bit_for_bit(self, kind, seed, first):
         rng = np.random.default_rng(seed)
         for family in MESH_FAMILIES:
-            m = _family_mesh(rng, family, 16)
+            m = family_mesh(rng, family, 16)
             u = GridFunction(m, first, rng.normal(size=m.n_points - first))
             shift, want = _quotient(kind, m.points[first:], u.values)
             for apply in (first_difference, apply_operator):
@@ -297,7 +284,7 @@ class TestOnePlanApplication:
     def test_pair_equals_its_composition_bit_for_bit(self, spec, seed, first):
         rng = np.random.default_rng(seed)
         for family in MESH_FAMILIES:
-            m = _family_mesh(rng, family, 16)
+            m = family_mesh(rng, family, 16)
             u = GridFunction(m, first, rng.normal(size=m.n_points - first))
             applied = second_difference(spec, u)
             # the oracle: the pair as two nested quotients, the outer one over the inner's points
@@ -314,7 +301,7 @@ class TestOnePlanApplication:
         # (V_k - V_{k-1}) / c_k with forward differences V_k: the march's equation
         rng = np.random.default_rng(seed)
         for family in MESH_FAMILIES:
-            m = _family_mesh(rng, family, 16)
+            m = family_mesh(rng, family, 16)
             t, v = m.points, rng.normal(size=m.n_points)
             slopes = (v[1:] - v[:-1]) / (t[1:] - t[:-1])
             jump = (slopes[1:] - slopes[:-1]) / slope_jump_divisors(op, t)

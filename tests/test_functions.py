@@ -15,10 +15,10 @@ from nufd import (
     make_sinusoid,
     sample,
 )
-from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator
+from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator, _oscillator_motion
 from nufd.parsing import SpecError, parse_function_spec
 
-from helpers import EPS
+from helpers import EPS, oscillator_expression
 
 
 class TestSinusoid:
@@ -442,14 +442,6 @@ def _sinusoid_expression(amplitude, frequency, phase, order, t):
     return amplitude * frequency**order * np.sin(frequency * np.asarray(t, dtype=np.float64) + phase + order * np.pi / 2)
 
 
-def _oscillator_expression(kappa, value, slope, t0, order, t):
-    """The oscillator motion's evaluator as one expression, as first written."""
-    omega = np.sqrt(kappa)
-    c_sin, c_cos = slope / omega, value
-    arg = omega * (np.asarray(t, dtype=np.float64) - t0) + order * np.pi / 2
-    return omega**order * (c_sin * np.sin(arg) + c_cos * np.cos(arg))
-
-
 _ARRAY_TS = st.lists(_SCALAR_TS, min_size=1, max_size=12)
 
 
@@ -488,11 +480,36 @@ class TestArrayPath:
     @settings(max_examples=200, deadline=None)
     def test_oscillator(self, kappa, value, slope, t0, ts):
         f = _oscillator(kappa, value, slope, t0)
-        self.assert_same_bits(f, lambda order, t: _oscillator_expression(kappa, value, slope, t0, order, t), ts)
+        self.assert_same_bits(f, lambda order, t: oscillator_expression(kappa, value, slope, t0, order, t), ts)
+
+    @given(
+        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
+        st.floats(-2.0, 2.0), _ARRAY_TS,
+    )
+    @example(4 * math.pi**2, 1.0, -1.0, 0.0, [0.0, -0.0, 0.25, 1e300, math.inf])
+    @settings(max_examples=100, deadline=None)
+    def test_oscillator_motion_is_the_evaluator(self, kappa, value, slope, t0, ts):
+        # the module-level motion that solve calls, on the array and 0-d paths
+        f = _oscillator(kappa, value, slope, t0)
+        array = np.array(ts)
+        with np.errstate(all="ignore"):
+            for t in (array, ts, np.array(ts[0]), np.float64(ts[0]), ts[0]):
+                for order in range(MAX_DERIVATIVE_ORDER + 1):
+                    got, want = _oscillator_motion(kappa, value, slope, t0, order, t), f.evaluate(order, t)
+                    assert type(got) is type(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_oscillator_motion_needs_no_derivative_bound(self):
+        # sqrt(1e130)**5 overflows, so the AnalyticFunction is refused; the motion is finite
+        with pytest.raises(ValueError, match="order 5"):
+            _oscillator(1e130, 1.0, -1.0)
+        t = np.array([0.0, 1e-66, 2e-66])
+        got = _oscillator_motion(1e130, 1.0, -1.0, 0.0, 0, t)
+        assert got.tobytes() == oscillator_expression(1e130, 1.0, -1.0, 0.0, 0, t).tobytes()
 
     def test_oscillator_at_a_python_float(self):
         f = make_oscillator_solution(9.0)
         for order in range(MAX_DERIVATIVE_ORDER + 1):
-            got, want = f.evaluate(order, 0.3), _oscillator_expression(9.0, 1.0, -1.0, 0.0, order, 0.3)
+            got, want = f.evaluate(order, 0.3), oscillator_expression(9.0, 1.0, -1.0, 0.0, order, 0.3)
             assert type(got) is type(want) is np.float64
             assert _bits(got) == _bits(want)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nufd import (
     BACKWARD_FORWARD,
@@ -26,7 +28,15 @@ from nufd.diffops import slope_jump_divisors
 from nufd.ivp import _march
 from nufd.presets import OSCILLATOR_KAPPA, oscillator_meshes
 
-from helpers import EPS, long_double_march, stencil_scale
+from helpers import (
+    EPS,
+    MESH_FAMILIES,
+    family_mesh,
+    long_double_march,
+    padded_march,
+    reference_solve,
+    stencil_scale,
+)
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 FORWARD_BACKWARD = SecondDiffSpec(F, B)
@@ -255,6 +265,74 @@ class TestSolve:
             sgeis.append(solve(IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh)).sld.sgei)
         assert sgeis[0] > sgeis[1] > sgeis[2]
 
+    def test_a_stable_march_whose_derivative_bounds_overflow_solves(self):
+        # kappa*h**2 = 1, but sqrt(kappa)**5 = 1e310 overflows: solve forms only
+        # the motion itself, while the motion as an AnalyticFunction is refused
+        mesh = build_uniform(0.0, 1e-61, 11)
+        solution = solve(IvpProblem(kappa=1e124, mesh=mesh))
+        w, exact, sld, _, _ = reference_solve(mesh.points, 1e124, 1.0, -1.0, "d- d+")
+        assert solution.w.values.tobytes() == w.tobytes()
+        assert solution.exact.values.tobytes() == exact.tobytes()
+        assert solution.sld.sld.tobytes() == sld.tobytes()
+        assert 0 < solution.sld.sgei < 1
+        with pytest.raises(ValueError, match=r"oscillator\(kappa=1e\+124\).*order 5"):
+            make_oscillator_solution(1e124)
+
+
+# The meshes of the bit pins: the random families, the two meshes of the
+# oscillator experiment and eleven uniform points of [0, 1].
+_PINNED_MESHES = (*MESH_FAMILIES, "ex5_5 geometric", "ex5_5 uniform", "uniform 11")
+
+
+def _pinned_mesh(rng, name, n_points):
+    if name in MESH_FAMILIES:
+        return family_mesh(rng, name, n_points)
+    if name == "uniform 11":
+        return build_uniform(0.0, 1.0, 11)
+    return oscillator_meshes()[name != "ex5_5 geometric"]
+
+
+class TestSolveBits:
+    """``solve``'s march, exact motion and sld are, bit for bit, the expressions
+    they were first written as (``helpers.reference_solve``)."""
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(_PINNED_MESHES),
+        st.integers(min_value=3, max_value=50),  # a geometric ratio of 1/2 ties points beyond 55
+        st.floats(0.01, 0.99),
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solution_is_its_reference_bit_for_bit(self, operator, seed, name, n_points, share, value, slope):
+        mesh = _pinned_mesh(np.random.default_rng(seed), name, n_points)
+        t = mesh.points
+        # a stable kappa: the given share of the largest kappa*c_k*h_k can be 4
+        growth_h = slope_jump_divisors(operator, t) * mesh.steps[1:]
+        kappa = 4 * share / float(np.max(growth_h))
+        solution = solve(IvpProblem(kappa=kappa, mesh=mesh, operator=operator,
+                                    initial_value=value, initial_slope=slope))
+        w, exact, sld, scale, sgei = reference_solve(t, kappa, value, slope, str(operator))
+        assert solution.w.values.tobytes() == w.tobytes()
+        assert solution.exact.values.tobytes() == exact.tobytes()
+        if scale == 0.0:
+            assert solution.sld is None
+            return
+        assert solution.sld.sld.tobytes() == sld.tobytes()
+        assert (solution.sld.scale, solution.sld.sgei) == (scale, sgei)
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    def test_the_paper_runs(self, meshes, operator):
+        for mesh in meshes:
+            solution = solve(IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=mesh, operator=operator))
+            w, exact, sld, scale, sgei = reference_solve(mesh.points, OSCILLATOR_KAPPA, 1.0, -1.0, str(operator))
+            assert solution.w.values.tobytes() == w.tobytes()
+            assert solution.exact.values.tobytes() == exact.tobytes()
+            assert solution.sld.sld.tobytes() == sld.tobytes()
+            assert (solution.sld.scale, solution.sld.sgei) == (scale, sgei)
+
 
 class TestEffectiveEquationFactor:
     """The factor by which a march rescales u'': its operator's leading coefficient.
@@ -350,46 +428,6 @@ class TestProblemValidation:
             assert f"cannot march '{operator}'" in str(info.value)
 
 
-def _padded_march(w0, w1, v0, h, growth):
-    """The blocked march as first written: zero-padded (length, blocks) copies of
-    the steps and growths, and one expression combining the basis with the starts."""
-    m = h.size
-    length = max(1, math.isqrt(m // 10))
-    blocks = -(-m // length)
-
-    def by_step(x):
-        padded = np.zeros(blocks * length)
-        padded[:m] = x
-        return np.ascontiguousarray(padded.reshape(blocks, length).T)
-
-    a, hs = by_step(growth), by_step(h)
-    basis = np.empty((2, length, blocks))
-    w = np.zeros((2, blocks))
-    v = np.zeros((2, blocks))
-    w[0] = 1.0
-    v[1] = 1.0
-    for i in range(length):
-        v -= a[i] * w
-        w += hs[i] * v
-        basis[:, i] = w
-    xs, ys = [], []
-    x, y = w1, v0
-    for p, q, r, s in zip(*w.tolist(), *v.tolist()):
-        if not (x or y):
-            break
-        xs.append(x)
-        ys.append(y)
-        x, y = p * x + q * y, r * x + s * y
-    starts = np.zeros((2, 1, blocks))
-    starts[0, 0, : len(xs)] = xs
-    starts[1, 0, : len(ys)] = ys
-    np.copyto(basis, 0.0, where=starts == 0.0)
-    out = np.empty(2 + blocks * length)
-    out[0], out[1] = w0, w1
-    out[2:].reshape(blocks, length).T[...] = basis[0] * starts[0] + basis[1] * starts[1]
-    return out[: m + 2]
-
-
 def _march_args(problem, second_value=None):
     """(w0, w1, v0, h, growth) as ``solve`` hands them to ``_march``."""
     h = problem.mesh.steps
@@ -404,12 +442,16 @@ def _march_args(problem, second_value=None):
     return float(w0), float(w1), float(v0), h[1:], growth
 
 
-def _assert_same_bits(w0, w1, v0, h, growth):
+def _assert_same_bits(w0, w1, v0, h, growth, chained=None):
+    """``_march`` against ``padded_march``, bit for bit; ``chained``, if given, is the number
+    of blocks the oracle's chain must give a start before it stops (all of them: it runs through)."""
     with np.errstate(over="ignore", invalid="ignore"):
         got = _march(w0, w1, v0, h, growth)
-        want = _padded_march(w0, w1, v0, h, growth)
+        want, starts = padded_march(w0, w1, v0, h, growth)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    if chained is not None:
+        assert starts == chained
     return got
 
 
@@ -429,7 +471,7 @@ class TestMarchBits:
         steps = 1.0 + 0.4 * np.random.default_rng(n).uniform(-1.0, 1.0, n - 1)
         points = np.concatenate(([0.0], np.cumsum(steps)))
         problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=Mesh(points / points[-1]), operator=operator)
-        w = _assert_same_bits(*_march_args(problem))
+        w = _assert_same_bits(*_march_args(problem), chained=-(-m // length))
         assert solve(problem).w.values.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
@@ -447,13 +489,30 @@ class TestMarchBits:
         # zero growth: the slope stays -1 and w falls by 1/8 a step, so the
         # third block (length 4) starts from exactly (0, -1)
         m = 200
-        w = _assert_same_bits(1.0, 1.0, -1.0, np.full(m, 0.125), np.zeros(m))
+        w = _assert_same_bits(1.0, 1.0, -1.0, np.full(m, 0.125), np.zeros(m), chained=50)
         assert w[9] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 39, 40, 200, 203])
+    def test_chain_runs_through(self, m):
+        # nonzero data through transfers of unit determinant never meets (0, 0):
+        # every block gets a start, and the starts array is built in one call
+        rng = np.random.default_rng(m)
+        growth = OSCILLATOR_KAPPA * rng.uniform(0.5, 1.5, m) / m
+        length = max(1, math.isqrt(m // 10))
+        _assert_same_bits(1.0, 0.9, -1.1, rng.uniform(0.5, 1.5, m) / m, growth, chained=-(-m // length))
+
+    @pytest.mark.parametrize("m", [5, 30])
+    def test_chain_stops_after_the_first_block(self, m):
+        # blocks of one step with growth*h = 1: the transfer [[0, 4], [-1/4, 1]]
+        # takes the start (5e-324, 0) to (0, -1/4 * 5e-324 + 0) = (0, 0), so the
+        # chain stops after one block and every later start is zero
+        w = _assert_same_bits(1.0, 5e-324, 0.0, np.full(m, 4.0), np.full(m, 0.25), chained=1)
+        assert not w[2:].any()
 
     @pytest.mark.parametrize("m", [7, 90, 1003])
     def test_zero_data(self, m):
         h = np.random.default_rng(m).uniform(0.5, 1.5, m) / m
-        w = _assert_same_bits(0.0, 0.0, 0.0, h, np.full(m, OSCILLATOR_KAPPA))
+        w = _assert_same_bits(0.0, 0.0, 0.0, h, np.full(m, OSCILLATOR_KAPPA), chained=0)
         assert not w.any()
 
     @pytest.mark.parametrize("w1, v0", [(0.0, 0.0), (0.0, -1.0), (1.0, 0.0)], ids=["zero", "zero-w", "zero-v"])

@@ -232,6 +232,20 @@ class TestMeshValidation:
             with pytest.raises(MeshError, match="mesh span t_last - t_0 = 1.5e"):
                 Mesh(np.array([-1e308, 1e308, 1.5e308]))
 
+    def test_out_of_order_points_whose_steps_overflow_raise_without_a_warning(self):
+        # the span is 0, so only the order test rejects these points; their steps overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError) as info:
+                Mesh(np.array([-1e308, 1e308, -1e308]))
+        assert str(info.value) == (
+            "mesh points must be strictly increasing; points[1]=1e+308 >= points[2]=-1e+308"
+        )
+
+    def test_steps_are_the_differences_of_the_points(self):
+        points = np.cumsum(np.random.default_rng(5).uniform(0.1, 2.0, 50)) - 7.0
+        assert Mesh(points).steps.tobytes() == np.diff(points).tobytes()
+
     def test_rejects_single_point(self):
         with pytest.raises(MeshError):
             Mesh(np.array([0.0]))
