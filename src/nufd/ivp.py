@@ -113,11 +113,6 @@ class IvpSolution:
     sld: SldSeries | None = field(default=None)
 
 
-# The w of the two basis states (1, 0) and (0, 1), broadcast over the blocks; never written.
-_UNIT_W = np.array(((1.0,), (0.0,)))
-_UNIT_W.setflags(write=False)
-
-
 def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -> np.ndarray:
     """Blocked value–slope march from the state (w_1, v_0).
 
@@ -143,7 +138,7 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
 
     # basis[i] is the state w after step i from (w, v) = (1, 0) and (0, 1).
     basis = np.empty((length, 2, blocks))
-    w = _UNIT_W
+    w = np.array(((1.0,), (0.0,)))  # broadcast over the blocks; never written
     v = np.zeros((2, blocks))
     v[1] = 1.0
     for i in range(length):
@@ -159,12 +154,8 @@ def _march(w0: float, w1: float, v0: float, h: np.ndarray, growth: np.ndarray) -
         xs.append(x)
         ys.append(y)
         x, y = p * x + q * y, r * x + s * y
-    if len(xs) == blocks:
-        starts = np.array((xs, ys))
-    else:
-        starts = np.zeros((2, blocks))
-        starts[0, : len(xs)] = xs
-        starts[1, : len(ys)] = ys
+    pad = [0.0] * (blocks - len(xs))
+    starts = np.array((xs + pad, ys + pad))
 
     # A zero start component contributes exactly zero, not 0 * inf.
     if not starts.all():
@@ -190,6 +181,8 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     march overflows, and MarchUnstableError when a finite march with data
     (w_0, w_1) not both zero has kappa*c_k*h_k > 4, a hyperbolic step, at some
     k (kappa*h**2 > 4 on a uniform mesh).  Zero data gives exact zeros on any mesh.
+    A ValueError naming the oscillator, also without warnings, reports an
+    exact motion that is not finite (a slope / sqrt(kappa) that overflows).
     """
     mesh = problem.mesh
     kappa = problem.kappa
@@ -207,6 +200,8 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
     with np.errstate(over="ignore", invalid="ignore"):
         w = _march(float(w0), float(w1), float(v0), h[1:], growth)
         growth *= h[1:]  # kappa*c_k*h_k
+        # only the motion itself: its derivative bounds, which may overflow, are never read
+        motion = _oscillator_motion(kappa, problem.initial_value, problem.initial_slope, mesh.a, 0, mesh.points)
     worst = float(np.maximum.reduce(growth))
     try:
         numeric = GridFunction(mesh, 0, w)
@@ -218,11 +213,13 @@ def solve(problem: IvpProblem, *, second_value: float | None = None) -> IvpSolut
         raise MarchUnstableError(f"the march is unstable: kappa*h**2 = {worst:.6g} exceeds the stability limit 4 "
                                  f"(max of kappa*c_k*h_k; first above 4 at k = {k}, t = {mesh.points[k]:.6g})")
 
-    # only the motion itself: its derivative bounds, which may overflow, are never read
-    motion = _oscillator_motion(kappa, problem.initial_value, problem.initial_slope, mesh.a, 0, mesh.points)
-    exact = GridFunction(mesh, 0, motion)
-    # the motion at t_0 is the initial value itself, so only a zero initial value needs the scan
-    if not (problem.initial_value or exact.values.any()):
+    try:
+        exact = GridFunction(mesh, 0, motion)
+    except ValueError:  # the one check the motion can fail: a value that is not finite
+        index = int(np.argmin(np.isfinite(motion)))
+        raise ValueError(f"oscillator(kappa={kappa:g}): the exact motion is not finite "
+                         f"at t = {mesh.points[index]:.6g}") from None
+    if not exact.values.any():
         return IvpSolution(w=numeric, exact=exact, sld=None)
     return IvpSolution(w=numeric, exact=exact, sld=scaled_local_difference(exact, numeric))
 

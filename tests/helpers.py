@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
-
-import math
 
 from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, build_geometric, make_polynomial, make_sinusoid
 

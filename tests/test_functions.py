@@ -482,23 +482,6 @@ class TestArrayPath:
         f = _oscillator(kappa, value, slope, t0)
         self.assert_same_bits(f, lambda order, t: oscillator_expression(kappa, value, slope, t0, order, t), ts)
 
-    @given(
-        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
-        st.floats(-2.0, 2.0), _ARRAY_TS,
-    )
-    @example(4 * math.pi**2, 1.0, -1.0, 0.0, [0.0, -0.0, 0.25, 1e300, math.inf])
-    @settings(max_examples=100, deadline=None)
-    def test_oscillator_motion_is_the_evaluator(self, kappa, value, slope, t0, ts):
-        # the module-level motion that solve calls, on the array and 0-d paths
-        f = _oscillator(kappa, value, slope, t0)
-        array = np.array(ts)
-        with np.errstate(all="ignore"):
-            for t in (array, ts, np.array(ts[0]), np.float64(ts[0]), ts[0]):
-                for order in range(MAX_DERIVATIVE_ORDER + 1):
-                    got, want = _oscillator_motion(kappa, value, slope, t0, order, t), f.evaluate(order, t)
-                    assert type(got) is type(want)
-                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
     def test_oscillator_motion_needs_no_derivative_bound(self):
         # sqrt(1e130)**5 overflows, so the AnalyticFunction is refused; the motion is finite
         with pytest.raises(ValueError, match="order 5"):

@@ -278,6 +278,15 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"oscillator\(kappa=1e\+124\).*order 5"):
             make_oscillator_solution(1e124)
 
+    def test_a_motion_that_is_not_finite_raises_a_named_error(self):
+        # the march is finite, but slope / sqrt(kappa) overflows, so the motion is NaN at t_0
+        problem = IvpProblem(kappa=5e-324, mesh=build_uniform(0.0, 1.0, 11), initial_slope=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                solve(problem)
+        assert str(info.value) == "oscillator(kappa=4.94066e-324): the exact motion is not finite at t = 0"
+
 
 # The meshes of the bit pins: the random families, the two meshes of the
 # oscillator experiment and eleven uniform points of [0, 1].
