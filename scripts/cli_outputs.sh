@@ -92,3 +92,7 @@ run fail-consistency-alpha-cube-overflow consistency --spec "d+ d+" --alpha 1e60
 run fail-consistency-alpha-collapsed-points consistency --spec "d+ d+" --alpha 1e-60
 run fail-consistency-d2-alpha-nan consistency --spec d2 --alpha 1e-103
 run oscillator-stable-overflowing-bounds oscillator --kappa 1e124 --mesh "uniform:0,1e-61,11"
+run fail-function-poly-coefficient-overflow diff --mesh "uniform:0,1,11" --function "poly:c1=1e400" --op d+
+run fail-function-sinusoid-phase-overflow diff --mesh "uniform:0,1,11" \
+    --function "sinusoid:amplitude=1,frequency=1,phase=1e400" --op d+
+run diff-poly-derivative-tables-overflow diff --mesh "uniform:0,1,11" --function "poly:c5=1e307" --op d+

@@ -91,6 +91,12 @@ def _jittered(nufd, n: int):
     return nufd.Mesh(points / points[-1])
 
 
+def _pipeline(nufd, f, mesh, op):
+    """The array pipeline: ``sample`` of f and of f'', ``op`` by ``apply_operator``, ``scaled_local_difference``."""
+    approx = nufd.apply_operator(op, nufd.sample(f, 0, mesh))
+    return nufd.scaled_local_difference(nufd.sample(f, 2, mesh), approx)
+
+
 def _scalar_cases(nufd, out: Path) -> dict[str, tuple]:
     """name -> (function, argument tuples); public API only, so any tree can run it."""
     import numpy as np
@@ -134,15 +140,10 @@ def _small_cases(nufd, out: Path) -> dict[str, tuple]:
         for label, op in operators.items()
     }
     f = nufd.make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
-
-    def pipeline(points, op):
-        mesh = nufd.Mesh(points)
-        approx = nufd.apply_operator(op, nufd.sample(f, 0, mesh))
-        return nufd.scaled_local_difference(nufd.sample(f, 2, mesh), approx)
-
     points = _jittered(nufd, SMALL_ARRAY_POINTS).points
     cases["mesh to sld, d- d+ (1,000 points)"] = (
-        pipeline, [(points, nufd.BACKWARD_FORWARD)] * SMALL_CALLS
+        lambda points, op: _pipeline(nufd, f, nufd.Mesh(points), op),
+        [(points, nufd.BACKWARD_FORWARD)] * SMALL_CALLS,
     )
     return cases
 
@@ -180,14 +181,9 @@ def _march_cases(nufd, out: Path) -> dict[str, tuple]:
 def _array_cases(nufd, out: Path) -> dict[str, tuple]:
     """name -> (pipeline, one argument tuple); public API only, so any tree can run it."""
     f = nufd.make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
-
-    def pipeline(mesh, op):
-        approx = nufd.apply_operator(op, nufd.sample(f, 0, mesh))
-        return nufd.scaled_local_difference(nufd.sample(f, 2, mesh), approx)
-
     return {
         "sample, d- d+, sld (1,000,000 points)": (
-            pipeline, [(_jittered(nufd, ARRAY_POINTS), nufd.BACKWARD_FORWARD)]
+            functools.partial(_pipeline, nufd, f), [(_jittered(nufd, ARRAY_POINTS), nufd.BACKWARD_FORWARD)]
         ),
     }
 

@@ -17,11 +17,8 @@ import numpy as np
 
 from . import analysis, ivp, presets
 from .diffops import derivative_order
-from .mesh import FLOAT_FORMAT, _write_columns, write_mesh_csv
+from .mesh import FLOAT_FORMAT, _write_tables, write_mesh_csv
 from .parsing import SpecError, parse_function_spec, parse_mesh_spec, parse_number, parse_operator
-
-# SpecError and WindowError subclass ValueError.
-_ERRORS = ValueError
 
 
 class _Group(click.Group):
@@ -35,7 +32,7 @@ class _Group(click.Group):
         try:
             with np.errstate(all="ignore"):
                 return super().invoke(ctx)
-        except _ERRORS as exc:
+        except ValueError as exc:  # SpecError, WindowError and MeshError among them
             raise click.ClickException(str(exc)) from exc
 
 
@@ -181,7 +178,7 @@ def order(ctx, operator_spec: str, function_spec: str, mesh_specs: tuple[str, ..
     estimate = analysis.empirical_order(op, f, family, target_order or derivative_order(op))
     out = _out_dir(ctx)
     slope = f"# slope={estimate.slope:{FLOAT_FORMAT}}"
-    _write_columns(out / "order.csv", "h_max,sgei", tuple(zip(*estimate.sample_points)), footer=(slope,))
+    _write_tables([(out / "order.csv", "h_max,sgei", tuple(zip(*estimate.sample_points)), (slope,))])
     summary = {
         "operator": str(op),
         "function": f.label,

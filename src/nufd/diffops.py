@@ -128,11 +128,11 @@ SecondOperator = SecondDiffSpec | CorrectedSecondDiff
 Operator = FirstDiffKind | SecondOperator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values aligned with a contiguous window of mesh indices.
 
-    ``values[i]`` sits at mesh point ``t_{first_index + i}``.
+    ``values[i]`` sits at mesh point ``t_{first_index + i}``.  Compared and hashed by identity.
     """
 
     mesh: Mesh
@@ -182,35 +182,6 @@ def _plan(op: Operator) -> _Plan:
         raise TypeError(f"unknown operator {op!r}") from None
 
 
-def _apply(op: Operator, u: GridFunction) -> GridFunction:
-    """Apply any operator from its plan: its differences over the window, then the outer divisor.
-
-    A first difference differences the values themselves; a second one
-    first takes its inner differences once over the window (inner width
-    ``ba - bb``) and differences those slopes at ``bb`` and ``ab`` in their
-    own buffer.  For a pair these are the IEEE operations of the two nested
-    first differences; a one-step span is read from the mesh's steps, which
-    hold the same subtraction.
-    """
-    lo, hi, (jb, ja), inner, _, _ = plan = _plan(op)
-    if len(u) < hi - lo + 1:
-        what = f"second difference '{op}'" if inner else f"{op.name.lower()} difference"
-        raise WindowError(f"{what} needs at least {hi - lo + 1} consecutive points, got {len(u)}")
-    n = len(u) - (hi - lo)
-    t, v, h = u.t, u.values, u.mesh.steps[u.first_index :]
-    if inner:
-        bb, ba, ab, _ = inner
-        width = ba - bb
-        v = v[width:] - v[:-width]
-        v /= h[: len(v)] if width == 1 else t[width:] - t[:-width]
-        # ab > bb: the difference at k overwrites slope bb + k after its last read
-        out = np.subtract(v[ab : ab + n], v[bb : bb + n], out=v[bb : bb + n])
-    else:
-        out = v[ja : ja + n] - v[jb : jb + n]
-    out /= _outer_divisor(plan, t, n, h)
-    return GridFunction(u.mesh, u.first_index - lo, out)
-
-
 def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     """Apply one divided difference; the output window shrinks accordingly.
 
@@ -219,14 +190,14 @@ def first_difference(kind: FirstDiffKind, u: GridFunction) -> GridFunction:
     """
     if not isinstance(kind, FirstDiffKind):
         raise TypeError(f"unknown first-difference kind {kind!r}")
-    return _apply(kind, u)
+    return apply_operator(kind, u)
 
 
 def second_difference(op: SecondOperator, u: GridFunction) -> GridFunction:
     """Apply a pair or d2 from its plan; for a pair, bit for bit the nested first differences."""
     if not isinstance(op, SecondOperator):
         raise TypeError(f"unknown second difference {op!r}")
-    return _apply(op, u)
+    return apply_operator(op, u)
 
 
 def _outer_divisor(plan: _Plan, t: np.ndarray, n: int, h: np.ndarray | None = None) -> np.ndarray:
@@ -294,8 +265,33 @@ def _marchable(op: Operator) -> _Plan:
 
 
 def apply_operator(op: Operator, u: GridFunction) -> GridFunction:
-    """Apply any first or second difference."""
-    return _apply(op, u)
+    """Apply any first or second difference from its plan.
+
+    Its differences run over the window, then divide by the outer divisor.
+    A first difference differences the values themselves; a second one
+    first takes its inner differences once over the window (inner width
+    ``ba - bb``) and differences those slopes at ``bb`` and ``ab`` in their
+    own buffer.  For a pair these are the IEEE operations of the two nested
+    first differences; a one-step span is read from the mesh's steps, which
+    hold the same subtraction.
+    """
+    lo, hi, (jb, ja), inner, _, _ = plan = _plan(op)
+    if len(u) < hi - lo + 1:
+        what = f"second difference '{op}'" if inner else f"{op.name.lower()} difference"
+        raise WindowError(f"{what} needs at least {hi - lo + 1} consecutive points, got {len(u)}")
+    n = len(u) - (hi - lo)
+    t, v, h = u.t, u.values, u.mesh.steps[u.first_index :]
+    if inner:
+        bb, ba, ab, _ = inner
+        width = ba - bb
+        v = v[width:] - v[:-width]
+        v /= h[: len(v)] if width == 1 else t[width:] - t[:-width]
+        # ab > bb: the difference at k overwrites slope bb + k after its last read
+        out = np.subtract(v[ab : ab + n], v[bb : bb + n], out=v[bb : bb + n])
+    else:
+        out = v[ja : ja + n] - v[jb : jb + n]
+    out /= _outer_divisor(plan, t, n, h)
+    return GridFunction(u.mesh, u.first_index - lo, out)
 
 
 def derivative_order(op: Operator) -> int:

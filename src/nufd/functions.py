@@ -76,8 +76,11 @@ def _sinusoid_supremum(label: str, amplitude: float, frequency: float, phase: fl
     The peak |A| |w|**n is reached where the argument crosses a crest
     pi/2 + j*pi; with no crest inside, |sin| is monotone between the
     endpoints, so the larger endpoint value is the maximum.  Rejects, by
-    ``label``, a sinusoid whose peak overflows at the highest order.
+    ``label``, a phase that is not finite and a sinusoid whose peak
+    overflows at the highest order.
     """
+    if not math.isfinite(phase):
+        raise ValueError(f"{label}: the phase {phase!r} is not finite")
     try:
         finite = math.isfinite(abs(amplitude) * abs(frequency) ** MAX_DERIVATIVE_ORDER)
     except OverflowError:
@@ -168,22 +171,30 @@ def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
             f"polynomial degree must be at most {MAX_DERIVATIVE_ORDER}, "
             f"got degree {coefs.size - 1}"
         )
-    # derivative coefficient tables, ascending powers; the last one is zero
+    label = f"poly({','.join(format(c, 'g') for c in coefs)})"
+    if not np.isfinite(coefs).all():
+        raise ValueError(f"{label}: the coefficients are not all finite")
+    # derivative coefficient tables, ascending powers; the last one is zero.
+    # A table that overflows reaches the evaluator as is; the suprema refuse it.
     tables = [coefs]
-    for _ in range(MAX_DERIVATIVE_ORDER + 1):
-        tables.append(np.polynomial.polynomial.polyder(tables[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DERIVATIVE_ORDER + 1):
+            tables.append(np.polynomial.polynomial.polyder(tables[-1]))
+    overflows = not np.isfinite(np.concatenate(tables)).all()
 
     def evaluator(order: int, t):
         t = np.asarray(t, dtype=np.float64)
         return np.polynomial.polynomial.polyval(t, tables[order])
 
     def supremum(order: int, lo: float, hi: float) -> float:
+        if overflows:
+            raise ValueError(f"{label}: a coefficient of its derivatives up to order {MAX_DERIVATIVE_ORDER} "
+                             "is not finite, so their suprema cannot be formed")
         # |p^(order)| peaks at an endpoint or where p^(order+1) changes sign
         ts = np.array([lo, hi, *_sign_change_roots(tables, order + 1, lo, hi)])
         return float(np.max(np.abs(np.polynomial.polynomial.polyval(ts, tables[order]))))
 
-    pretty = ",".join(format(c, "g") for c in coefs)
-    return AnalyticFunction(label=f"poly({pretty})", evaluator=evaluator, supremum=supremum)
+    return AnalyticFunction(label=label, evaluator=evaluator, supremum=supremum)
 
 
 def _oscillator_motion(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float, order: int, t):
@@ -208,27 +219,23 @@ def _oscillator_motion(kappa: float, value_at_t0: float, slope_at_t0: float, t0:
     return x if x.ndim else x[()]
 
 
-def _oscillator(kappa: float, value_at_t0: float, slope_at_t0: float, t0: float = 0.0) -> AnalyticFunction:
-    """Solution of u'' = -kappa*u with u(t0)=value and u'(t0)=slope, evaluated by :func:`_oscillator_motion`."""
+def make_oscillator_solution(kappa: float) -> AnalyticFunction:
+    """-(1/sqrt(kappa))*sin(sqrt(kappa)*t) + cos(sqrt(kappa)*t).
+
+    This is the motion with unit initial displacement and slope -1 at t = 0,
+    evaluated by :func:`_oscillator_motion`.
+    """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     label = f"oscillator(kappa={kappa:g})"
     omega = math.sqrt(kappa)
-    c_sin, c_cos = slope_at_t0 / omega, value_at_t0
+    c_sin, c_cos = -1.0 / omega, 1.0
     # c_sin*sin(x) + c_cos*cos(x) = R*sin(x + atan2(c_cos, c_sin)), a sinusoid in t.
     return AnalyticFunction(
         label=label,
-        evaluator=functools.partial(_oscillator_motion, kappa, value_at_t0, slope_at_t0, t0),
-        supremum=_sinusoid_supremum(label, math.hypot(c_sin, c_cos), omega, math.atan2(c_cos, c_sin) - omega * t0),
+        evaluator=functools.partial(_oscillator_motion, kappa, 1.0, -1.0, 0.0),
+        supremum=_sinusoid_supremum(label, math.hypot(c_sin, c_cos), omega, math.atan2(c_cos, c_sin)),
     )
-
-
-def make_oscillator_solution(kappa: float) -> AnalyticFunction:
-    """-(1/sqrt(kappa))*sin(sqrt(kappa)*t) + cos(sqrt(kappa)*t).
-
-    This is the motion with unit initial displacement and slope -1 at t = 0.
-    """
-    return _oscillator(kappa, 1.0, -1.0)
 
 
 def sample(f: AnalyticFunction, order: int, mesh: Mesh) -> GridFunction:

@@ -13,7 +13,7 @@ import io
 import math
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -59,11 +59,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Mesh:
     """Strictly increasing grid points with derived step sizes.
 
-    ``points`` holds t_0 .. t_{m+1}; ``steps`` is computed once as
+    ``points`` holds t_0 .. t_{m+1}; ``steps``, the step sizes
+    h_k = t_{k+1} - t_k for k = 0..m, is computed once as
     ``points[1:] - points[:-1]`` and shares the mesh's immutability.
     """
 
     points: np.ndarray
+    steps: np.ndarray = field(init=False, repr=False)
 
     # numpy defers every operator to Mesh: ``mesh == array`` is one bool, not an array.
     __array_ufunc__ = None
@@ -89,12 +91,7 @@ class Mesh:
                 f"points[{bad}]={float(pts[bad])!r} >= points[{bad + 1}]={float(pts[bad + 1])!r}"
             )
         object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "_steps", _freeze(pts[1:] - pts[:-1]))
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Step sizes h_k = t_{k+1} - t_k for k = 0..m."""
-        return self._steps  # type: ignore[attr-defined]
+        object.__setattr__(self, "steps", _freeze(pts[1:] - pts[:-1]))
 
     @property
     def n_points(self) -> int:
@@ -137,7 +134,8 @@ class Mesh:
         )
 
     def __hash__(self) -> int:
-        return hash(self.points.tobytes())
+        # -0.0 + 0.0 is +0.0: points equal under == hash alike
+        return hash((self.points + 0.0).tobytes())
 
     def __repr__(self) -> str:
         return (
@@ -286,14 +284,8 @@ def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) ->
             fh.writelines(line + "\n" for line in footer)
 
 
-def _write_columns(target: str | Path | io.TextIOBase, header: str, columns: Sequence[np.ndarray],
-                   *, first_index: int | None = None, footer: Sequence[str] = ()) -> None:
-    """Write one table: ``_write_tables`` with the single table ``(target, header, columns, footer)``."""
-    _write_tables([(target, header, columns, footer)], first_index=first_index)
-
-
 def write_mesh_csv(mesh: Mesh, target: str | Path | io.TextIOBase) -> None:
     """Write ``k,t,h`` rows; the last row leaves h empty."""
     last = f"{mesh.n_points - 1},{mesh.b:{FLOAT_FORMAT}},"
-    _write_columns(target, "k,t,h", (mesh.points[:-1], mesh.steps), first_index=0, footer=(last,))
+    _write_tables([(target, "k,t,h", (mesh.points[:-1], mesh.steps), (last,))], first_index=0)
 

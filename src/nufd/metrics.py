@@ -18,9 +18,9 @@ from .mesh import Mesh, _freeze
 __all__ = ["SldSeries", "scaled_local_difference", "classify"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SldSeries:
-    """Signed, scaled pointwise differences over a common index window."""
+    """Signed, scaled pointwise differences over a common index window; compared and hashed by identity."""
 
     mesh: Mesh
     first_index: int

@@ -24,7 +24,6 @@ from .mesh import (
     smoothness_ratios,
     write_mesh_csv,
     FLOAT_FORMAT,
-    _write_columns,
     _write_tables,
 )
 from .metrics import SldSeries, classify, scaled_local_difference
@@ -96,14 +95,14 @@ def _summary_line(series: SldSeries) -> str:
 
 def write_grid_csv(grid: GridFunction, target: Path) -> None:
     """Write ``k,t,value`` rows for one grid function."""
-    _write_columns(target, "k,t,value", (grid.t, grid.values), first_index=grid.first_index)
+    _write_tables([(target, "k,t,value", (grid.t, grid.values), ())], first_index=grid.first_index)
 
 
 def write_oscillator_csv(solution: ivp.IvpSolution, target: Path) -> None:
     """Write ``k,t,w,exact,sld`` rows of the march against the exact motion, plus the summary line."""
     sld = solution.sld
-    _write_columns(target, "k,t,w,exact,sld", (sld.t, solution.w.values, solution.exact.values, sld.sld),
-                   first_index=sld.first_index, footer=(_summary_line(sld),))
+    columns = (sld.t, solution.w.values, solution.exact.values, sld.sld)
+    _write_tables([(target, "k,t,w,exact,sld", columns, (_summary_line(sld),))], first_index=sld.first_index)
 
 
 _SGEI_KEYS = ("sgei", "argmax_t", "classification")
@@ -201,7 +200,7 @@ def run_preset(name: str, out_dir: Path, beta: float = DEFAULT_BETA) -> dict:
         def run(variant: str, mesh: Mesh) -> dict:
             write_mesh_csv(mesh, out_dir / f"fig5_1_{variant}_mesh.csv")
             ratios = smoothness_ratios(mesh)
-            _write_columns(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), first_index=0)
+            _write_tables([(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), ())], first_index=0)
             return {"steps": [float(h) for h in mesh.steps], "ratios": [float(r) for r in ratios]}
     else:
         op = _DERIVATIVE_PRESETS[name]

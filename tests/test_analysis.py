@@ -73,6 +73,12 @@ class TestConsistencyCoefficient:
         with pytest.raises(ValueError):
             consistency_coefficient(SecondDiffSpec(B, B), (None, 0.1, 0.1, 0.1))
 
+    @pytest.mark.parametrize("steps", [(0.1, 0.1, 0.1), (0.1, 0.1, 0.1, 0.1, 0.1), ()], ids=["3", "5", "0"])
+    def test_steps_other_than_a_quadruple_rejected(self, steps):
+        message = re.escape("steps must be the quadruple (h_{k-2}, h_{k-1}, h_k, h_{k+1})")
+        with pytest.raises(ValueError, match=message):
+            consistency_coefficient(SecondDiffSpec(F, F), steps)
+
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
             consistency_coefficient(SecondDiffSpec(F, F), (None, None, -0.1, 0.2))
@@ -575,6 +581,11 @@ class TestOperatorType:
         ):
             with pytest.raises(TypeError, match=message):
                 view()
+
+    @pytest.mark.parametrize("kind", [SecondDiffSpec(F, F), D2_CORRECTED, "d+", None], ids=str)
+    def test_the_error_bound_rejects_a_non_first_difference(self, kind):
+        with pytest.raises(TypeError, match=re.escape(f"unknown first-difference kind {kind!r}")):
+            first_diff_error_bound(kind, make_sinusoid(1.0, 2.0), build_uniform(0.0, 1.0, 7), 3)
 
 
 class TestWindowErrors:

@@ -88,6 +88,23 @@ class TestDiffCommand:
         assert result.exit_code != 0
         assert "at least 3" in result.output
 
+    @pytest.mark.parametrize("spec,named", [
+        ("poly:c1=1e400", "poly(0,inf): the coefficients are not all finite"),
+        ("sinusoid:amplitude=1,frequency=1,phase=1e400",
+         "sinusoid(amplitude=1,frequency=1,phase=inf): the phase inf is not finite"),
+    ])
+    def test_a_function_parameter_that_is_not_finite_is_named(self, runner, tmp_path, spec, named):
+        result = run(runner, "--out", tmp_path, "diff", "--mesh", "uniform:0,1,11", "--function", spec, "--op", "d+")
+        assert result.exit_code == 1
+        assert named in result.output
+
+    def test_a_polynomial_whose_derivative_tables_overflow_still_differences(self, runner, tmp_path):
+        # 20 * 1e307 overflows in the second derivative's table; d+ compares against the first
+        result = run(runner, "--out", tmp_path, "diff", "--mesh", "uniform:0,1,11",
+                     "--function", "poly:c5=1e307", "--op", "d+")
+        assert result.exit_code == 0
+        assert result.output.startswith("sgei=0.248")
+
     def test_reproduces_the_ex5_2_uniform_files(self, runner, tmp_path):
         preset, diff = tmp_path / "preset", tmp_path / "diff"
         assert run(runner, "--out", preset, "preset", "ex5_2").exit_code == 0

@@ -63,6 +63,14 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             g.values[0] = 1.0
 
+    def test_equality_and_hash_are_by_identity(self):
+        # equal fields compare unequal: a value comparison of the arrays could only raise
+        m = build_uniform(0, 1, 4)
+        a, b = GridFunction(m, 0, np.arange(4.0)), GridFunction(m, 0, np.arange(4.0))
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
 
 class TestFirstDifference:
     def test_forward_exact_on_linear(self):
@@ -494,3 +502,9 @@ class TestOperatorDispatch:
         ):
             with pytest.raises(TypeError, match=re.escape(f"unknown operator {op!r}")):
                 call()
+
+    @pytest.mark.parametrize("kind", [SecondDiffSpec(C, C), D2_CORRECTED, "d+", None], ids=str)
+    def test_first_difference_rejects_a_non_first_difference(self, kind):
+        u = GridFunction(build_uniform(0.0, 1.0, 9), 0, np.zeros(9))
+        with pytest.raises(TypeError, match=re.escape(f"unknown first-difference kind {kind!r}")):
+            first_difference(kind, u)

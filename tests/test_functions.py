@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,14 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nufd import (
+    FirstDiffKind,
     Mesh,
     build_uniform,
+    first_diff_error_bound,
     make_oscillator_solution,
     make_polynomial,
     make_sinusoid,
     sample,
 )
-from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator, _oscillator_motion
+from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator_motion
 from nufd.parsing import SpecError, parse_function_spec
 
 from helpers import EPS, oscillator_expression
@@ -58,6 +62,19 @@ class TestSinusoid:
         f = make_sinusoid(1.0, 1e61)
         assert math.isfinite(f.sup_abs(5, 0.0, 0.1))
 
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    def test_a_phase_that_is_not_finite_is_rejected_by_name(self, phase):
+        with pytest.raises(ValueError, match=r"^sinusoid\(amplitude=1,frequency=1,phase=.*\): the phase"):
+            make_sinusoid(1.0, 1.0, phase)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_an_infinite_python_float_gives_the_array_paths_nan(self, t):
+        f = make_sinusoid(2.0, 3.0, 0.5)
+        with np.errstate(invalid="ignore"):
+            for order in range(MAX_DERIVATIVE_ORDER + 1):
+                value, array = f.evaluate(order, t), f.evaluate(order, np.array([t]))
+                assert math.isnan(value) and math.isnan(array[0])
+
 
 class TestPolynomial:
     def test_t_squared_second_derivative(self):
@@ -76,6 +93,32 @@ class TestPolynomial:
     def test_degree_above_five_rejected(self):
         with pytest.raises(ValueError):
             make_polynomial([1, 1, 1, 1, 1, 1, 1])
+
+    def test_no_coefficients_give_the_zero_polynomial(self):
+        f = make_polynomial([])
+        assert f.label == "poly(0)"
+        for order in range(MAX_DERIVATIVE_ORDER + 1):
+            assert f.evaluate(order, 0.7) == 0.0
+            assert f.sup_abs(order, -1.0, 2.0) == 0.0
+
+    @pytest.mark.parametrize("coefs", [[0.0, math.inf], [-math.inf], [1.0, 2.0, math.nan]])
+    def test_a_coefficient_that_is_not_finite_is_rejected_by_name(self, coefs):
+        with pytest.raises(ValueError, match=r"^poly\(.*\): the coefficients are not all finite"):
+            make_polynomial(coefs)
+
+    @pytest.mark.parametrize("coefs", [[0, 0, 0, 0, 0, 1e307], [0, 0, 1e308, 1]])
+    def test_derivative_tables_that_overflow_leave_the_suprema_named(self, coefs):
+        # 20 * 1e307 and 2 * 1e308 overflow; the evaluator still reaches every finite value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = make_polynomial(coefs)
+            assert f.evaluate(0, 0.5) == np.polynomial.polynomial.polyval(0.5, coefs)
+        named = r"^poly\(.*\): a coefficient of its derivatives up to order 5 is not finite"
+        for order in range(MAX_DERIVATIVE_ORDER + 1):
+            with pytest.raises(ValueError, match=named):
+                f.sup_abs(order, 0.0, 1.0)
+        with pytest.raises(ValueError, match=named):
+            first_diff_error_bound(FirstDiffKind.FORWARD, f, build_uniform(0, 1, 11), 3)
 
 
 class TestOscillatorSolution:
@@ -236,15 +279,16 @@ def _sinusoid_oracle(amplitude, frequency, phase, order, lo, hi):
     return _mp_sup_abs(derivative(order), derivative(order + 1), lo, hi, cells)
 
 
-def _oscillator_oracle(kappa, value, slope, t0, order, lo, hi):
-    # the library's own float omega and c_sin, so both sides bound one function
+def _oscillator_oracle(kappa, order, lo, hi):
+    # make_oscillator_solution's motion, value 1 and slope -1 at t = 0, with the
+    # library's own float omega and c_sin, so both sides bound one function
     omega = float(np.sqrt(kappa))
-    w, c_sin, c_cos, t0 = mp.mpf(omega), mp.mpf(slope / omega), mp.mpf(value), mp.mpf(t0)
+    w, c_sin = mp.mpf(omega), mp.mpf(-1.0 / omega)
 
     def derivative(n):
         def g(t):
-            x = w * (t - t0) + n * mp.pi / 2
-            return w**n * (c_sin * mp.sin(x) + c_cos * mp.cos(x))
+            x = w * t + n * mp.pi / 2
+            return w**n * (c_sin * mp.sin(x) + mp.cos(x))
 
         return g
 
@@ -295,18 +339,15 @@ class TestSupAbs:
         reach = abs(frequency) * max(abs(lo), abs(hi)) + abs(phase) + order
         assert got == pytest.approx(want, rel=0, abs=64 * EPS * peak * (1 + reach) + _UNDERFLOW)
 
-    @given(
-        st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
-        st.floats(-2.0, 2.0), _ORDERS, _STARTS, _WIDTHS,
-    )
+    @given(st.floats(0.01, 400.0), _ORDERS, _STARTS, _WIDTHS)
     @settings(max_examples=150, deadline=None)
-    def test_oscillator(self, kappa, value, slope, t0, order, lo, width):
+    def test_oscillator(self, kappa, order, lo, width):
         hi = lo + width
-        got = _oscillator(kappa, value, slope, t0).sup_abs(order, lo, hi)
-        want = _oscillator_oracle(kappa, value, slope, t0, order, lo, hi)
+        got = make_oscillator_solution(kappa).sup_abs(order, lo, hi)
+        want = _oscillator_oracle(kappa, order, lo, hi)
         omega = math.sqrt(kappa)
-        peak = math.hypot(value, slope / omega) * omega**order
-        reach = omega * (max(abs(lo), abs(hi)) + abs(t0)) + order + 4
+        peak = math.hypot(1.0, -1.0 / omega) * omega**order
+        reach = omega * max(abs(lo), abs(hi)) + order + 4
         # the amplitude R is itself rounded, by up to a subnormal when tiny
         floor = _UNDERFLOW * (1 + omega**order)
         assert got == pytest.approx(want, rel=0, abs=64 * EPS * peak * (1 + reach) + floor)
@@ -318,6 +359,7 @@ class TestSupAbs:
     @example([1.0, -3.0, 0.0, 1.0], 0, -1.5, 3.0)  # extrema at -1 and 1 inside
     @example([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1, -0.5, 1.0)  # p'' = 20 t**3, a triple root
     @example([0.0, 0.0, 1.0, 5e-324], 0, 0.0, 1.0)  # p' has a root near -1e323
+    @example([0.0, 0.0, 0.0, 0.0, 5e-324], 0, 2.5, 0.0)  # Horner gives 1.5e-322, the oracle 1.93e-322
     @settings(max_examples=150, deadline=None)
     def test_polynomial(self, coefs, order, lo, width):
         hi = lo + width
@@ -326,7 +368,10 @@ class TestSupAbs:
         reach = max(abs(lo), abs(hi), 1.0)
         scale = sum(math.perm(i, order) * abs(c) * reach ** (i - order)
                     for i, c in enumerate(coefs) if i >= order)
-        assert got == pytest.approx(want, rel=0, abs=64 * EPS * scale + _UNDERFLOW)
+        # in the subnormal range each Horner step rounds by up to ulp(0)/2, and
+        # every later step multiplies that error by |t| <= reach
+        floor = math.ulp(0.0) * sum(reach**i for i in range(len(coefs) - 1))
+        assert got == pytest.approx(want, rel=0, abs=64 * EPS * scale + floor)
 
     @given(
         st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
@@ -393,16 +438,16 @@ class TestScalarPath:
     through ``math.sin``."""
 
     @staticmethod
-    def assert_scalar_equals_array(f, t):
+    def assert_scalar_equals_array(evaluate, t):
         with np.errstate(all="ignore"):
             for order in range(MAX_DERIVATIVE_ORDER + 1):
-                assert _bits(f.evaluate(order, t)) == _bits(f.evaluate(order, np.array([t]))[0])
+                assert _bits(evaluate(order, t)) == _bits(evaluate(order, np.array([t]))[0])
 
     @given(st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _SCALAR_TS)
     @settings(max_examples=200, deadline=None)
     def test_sinusoid(self, amplitude, frequency, phase, t):
         f = make_sinusoid(amplitude, frequency, phase)
-        self.assert_scalar_equals_array(f, t)
+        self.assert_scalar_equals_array(f.evaluate, t)
         with np.errstate(all="ignore"):
             for order in range(MAX_DERIVATIVE_ORDER + 1):
                 value = f.evaluate(order, t)
@@ -413,7 +458,7 @@ class TestScalarPath:
     @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6), _SCALAR_TS)
     @settings(max_examples=200, deadline=None)
     def test_polynomial(self, coefs, t):
-        self.assert_scalar_equals_array(make_polynomial(coefs), t)
+        self.assert_scalar_equals_array(make_polynomial(coefs).evaluate, t)
 
     @given(
         st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
@@ -421,7 +466,7 @@ class TestScalarPath:
     )
     @settings(max_examples=200, deadline=None)
     def test_oscillator(self, kappa, value, slope, t0, t):
-        self.assert_scalar_equals_array(_oscillator(kappa, value, slope, t0), t)
+        self.assert_scalar_equals_array(functools.partial(_oscillator_motion, kappa, value, slope, t0), t)
 
     @given(
         st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0),
@@ -450,27 +495,27 @@ class TestArrayPath:
     bit the expression's, of the expression's type, and t is left as it was."""
 
     @staticmethod
-    def assert_same_bits(f, expression, ts):
+    def assert_same_bits(evaluate, expression, ts):
         array = np.array(ts)
         inputs = [array, ts, np.array(ts[0]), np.float64(ts[0]), array.reshape(-1, 1)]
         with np.errstate(all="ignore"):
             for t in inputs:
                 before = np.array(t, copy=True)
                 for order in range(MAX_DERIVATIVE_ORDER + 1):
-                    got, want = f.evaluate(order, t), expression(order, t)
+                    got, want = evaluate(order, t), expression(order, t)
                     assert type(got) is type(want)
                     assert np.shape(got) == np.shape(want)
                     assert np.asarray(got).dtype == np.float64
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
                 assert np.array_equal(np.asarray(t), before, equal_nan=True)
-            assert type(f.evaluate(0, np.array(ts[0]))) is np.float64
+            assert type(evaluate(0, np.array(ts[0]))) is np.float64
 
     @given(st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _ARRAY_TS)
     @example(2.0, 3.0, 0.0, [0.0, -0.0, 1e300, -math.inf])
     @settings(max_examples=200, deadline=None)
     def test_sinusoid(self, amplitude, frequency, phase, ts):
         f = make_sinusoid(amplitude, frequency, phase)
-        self.assert_same_bits(f, lambda order, t: _sinusoid_expression(amplitude, frequency, phase, order, t), ts)
+        self.assert_same_bits(f.evaluate, lambda order, t: _sinusoid_expression(amplitude, frequency, phase, order, t), ts)
 
     @given(
         st.floats(0.01, 400.0), st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
@@ -479,13 +524,13 @@ class TestArrayPath:
     @example(4 * math.pi**2, 1.0, -1.0, 0.0, [0.0, -0.0, 0.25, 1e300, math.inf])
     @settings(max_examples=200, deadline=None)
     def test_oscillator(self, kappa, value, slope, t0, ts):
-        f = _oscillator(kappa, value, slope, t0)
-        self.assert_same_bits(f, lambda order, t: oscillator_expression(kappa, value, slope, t0, order, t), ts)
+        motion = functools.partial(_oscillator_motion, kappa, value, slope, t0)
+        self.assert_same_bits(motion, lambda order, t: oscillator_expression(kappa, value, slope, t0, order, t), ts)
 
     def test_oscillator_motion_needs_no_derivative_bound(self):
         # sqrt(1e130)**5 overflows, so the AnalyticFunction is refused; the motion is finite
         with pytest.raises(ValueError, match="order 5"):
-            _oscillator(1e130, 1.0, -1.0)
+            make_oscillator_solution(1e130)
         t = np.array([0.0, 1e-66, 2e-66])
         got = _oscillator_motion(1e130, 1.0, -1.0, 0.0, 0, t)
         assert got.tobytes() == oscillator_expression(1e130, 1.0, -1.0, 0.0, 0, t).tobytes()

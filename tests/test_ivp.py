@@ -278,6 +278,14 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"oscillator\(kappa=1e\+124\).*order 5"):
             make_oscillator_solution(1e124)
 
+    def test_solutions_compare_and_hash_by_their_grid_functions(self):
+        problem = IvpProblem(kappa=OSCILLATOR_KAPPA, mesh=build_uniform(0.0, 1.0, 11))
+        a, b = solve(problem), solve(problem)
+        for x, y in ((a.w, b.w), (a.exact, b.exact), (a.sld, b.sld), (a, b)):
+            assert x == x and not x != x
+            assert x != y and not x == y
+            assert hash(x) == hash(x) and len({x, y}) == 2
+
     def test_a_motion_that_is_not_finite_raises_a_named_error(self):
         # the march is finite, but slope / sqrt(kappa) overflows, so the motion is NaN at t_0
         problem = IvpProblem(kappa=5e-324, mesh=build_uniform(0.0, 1.0, 11), initial_slope=1e200)

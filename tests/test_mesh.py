@@ -21,7 +21,7 @@ from nufd import (
     smoothness_ratios,
     write_mesh_csv,
 )
-from nufd.mesh import _BLOCK_ROWS, _write_columns, _write_tables
+from nufd.mesh import _BLOCK_ROWS, _write_tables
 
 from helpers import EPS, random_mesh, read_mesh_points, reference_columns_csv
 
@@ -99,6 +99,11 @@ class TestBuildGeometric:
     def test_rejects_nonpositive_parameters(self, h0, r):
         with pytest.raises(MeshError):
             build_geometric(0, h0, r, 3)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_rejects_a_negative_m(self, r):
+        with pytest.raises(MeshError, match="m must be nonnegative, got -1"):
+            build_geometric(0, 0.1, r, -1)
 
 
 class TestBuildEquiarclength:
@@ -246,6 +251,10 @@ class TestMeshValidation:
         points = np.cumsum(np.random.default_rng(5).uniform(0.1, 2.0, 50)) - 7.0
         assert Mesh(points).steps.tobytes() == np.diff(points).tobytes()
 
+    def test_rejects_points_that_are_not_one_dimensional(self):
+        with pytest.raises(MeshError, match="one-dimensional"):
+            Mesh(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
     def test_rejects_single_point(self):
         with pytest.raises(MeshError):
             Mesh(np.array([0.0]))
@@ -275,6 +284,17 @@ class TestMeshValidation:
         c = build_uniform(0, 1, 6)
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        negative, positive = build_geometric(-0.0, 0.1, 2.0, 3), build_geometric(0.0, 0.1, 2.0, 3)
+        assert negative.points[0].tobytes() != positive.points[0].tobytes()
+        assert negative == positive and hash(negative) == hash(positive)
+        assert len({negative, positive}) == 1
+        assert np.signbit(negative.points[0])  # the hash leaves the points as they are
+
+    def test_repr_names_the_size_the_interval_and_the_uniformity(self):
+        assert repr(build_uniform(0, 1, 5)) == "Mesh(5 points on [0, 1], uniform)"
+        assert repr(Mesh(np.array([-0.5, 0.0, 2.0]))) == "Mesh(3 points on [-0.5, 2], nonuniform)"
 
     def test_equality_with_itself_and_with_other_types(self):
         a = build_uniform(0, 1, 5)
@@ -373,7 +393,7 @@ class TestWriteColumns:
                     columns[j, r] = special[(r + j) % special.size]
             columns[j, rng.integers(0, rows, special.size)] = rng.permutation(special)
         buf = io.StringIO()
-        _write_columns(buf, header, list(columns), first_index=first_index, footer=footer)
+        _write_tables([(buf, header, list(columns), footer)], first_index=first_index)
         # Line lists give the same verdict as the strings and a short failure report.
         want = reference_columns_csv(header, columns, first_index, footer)
         assert buf.getvalue().split("\n") == want.split("\n")

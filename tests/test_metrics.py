@@ -36,6 +36,14 @@ class TestScaledLocalDifference:
         np.testing.assert_array_equal(series.sld, 0.0)
         assert series.sgei == 0.0
 
+    def test_equality_and_hash_are_by_identity(self):
+        m = build_uniform(0, 1, 5)
+        a = scaled_local_difference(*_pair(m, [1, 2, 3, 4, 5], [1, 2, 2, 4, 5]))
+        b = scaled_local_difference(*_pair(m, [1, 2, 3, 4, 5], [1, 2, 2, 4, 5]))
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_direct_arithmetic(self):
         m = build_uniform(0, 1, 2)
         f, g = _pair(m, [2, 1], [1, 2])
