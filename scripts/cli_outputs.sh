@@ -96,3 +96,4 @@ run fail-function-poly-coefficient-overflow diff --mesh "uniform:0,1,11" --funct
 run fail-function-sinusoid-phase-overflow diff --mesh "uniform:0,1,11" \
     --function "sinusoid:amplitude=1,frequency=1,phase=1e400" --op d+
 run diff-poly-derivative-tables-overflow diff --mesh "uniform:0,1,11" --function "poly:c5=1e307" --op d+
+run fail-diff-poly-derivative-order-overflow diff --mesh "uniform:0,1,11" --function "poly:c5=1e307" --op "d+ d+"

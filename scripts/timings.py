@@ -9,7 +9,10 @@ five case sets:
 
 - scalar: each case calls one function over a fixed list of 500 argument
   tuples built from a 2,001-point jittered mesh (seed 2001); a call set is
-  all 500 calls, so the figures include the cost of the Python loop;
+  all 500 calls, so the figures include the cost of the Python loop.  The
+  ``stencil`` case builds the public (offset, weight) tuple of a second
+  difference at each of the report cases' indices, a cost the reports do
+  not pay;
 - small: paper-scale calls, where the fixed cost of each call dominates; a
   call set is 200 calls with the same arguments.  ``solve`` with ``d- d+``
   and with ``d2``, kappa = 4 pi^2, on the ex5_5 meshes (the 202-point
@@ -117,6 +120,10 @@ def _scalar_cases(nufd, out: Path) -> dict[str, tuple]:
         "expansion_prediction": (nufd.expansion_prediction, [(op, f, mesh, k) for op, k in by_op]),
         "geometric_consistency": (
             nufd.geometric_consistency, [(op, a) for (op, _), a in zip(by_op, alphas)]
+        ),
+        "stencil": (
+            nufd.stencil,
+            [(op, t[k + lo : k + hi + 1]) for op, k in by_op for lo, hi in [nufd.stencil_offsets(op)]],
         ),
     }
     for kind in nufd.FirstDiffKind:

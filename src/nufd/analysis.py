@@ -26,8 +26,9 @@ from .diffops import (
     Operator,
     SecondOperator,
     WindowError,
+    _Plan,
+    _weights,
     apply_operator,
-    stencil,
 )
 from .functions import AnalyticFunction, sample
 from .mesh import Mesh, MeshError
@@ -69,20 +70,21 @@ class OrderEstimate:
     sample_points: tuple[tuple[float, float], ...]
 
 
-def _offsets(spec: SecondOperator) -> tuple[int, int]:
-    """(lo, hi) of a second difference's stencil, read from its plan; TypeError for anything else."""
+def _second_plan(spec: SecondOperator) -> _Plan:
+    """A second difference's stencil plan; TypeError for anything else."""
     plan = getattr(spec, "plan", None)
     if plan is None or not plan.inner:
         raise TypeError(f"need a second difference, got {spec!r}")
-    return plan.lo, plan.hi
+    return plan
 
 
-def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[int, int, list[float]]:
-    """(lo, hi, x): the offsets and mesh points x = t_{k+lo} .. t_{k+hi} under the stencil at index k."""
-    lo, hi = _offsets(spec)
+def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[_Plan, list[float]]:
+    """(plan, x): the spec's plan and the mesh points x = t_{k+lo} .. t_{k+hi} under its stencil at index k."""
+    plan = _second_plan(spec)
+    lo, hi = plan.lo, plan.hi
     if k + lo < 0 or k + hi >= len(mesh.points):
         raise WindowError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
-    return lo, hi, mesh.points[k + lo : k + hi + 1].tolist()
+    return plan, mesh.points[k + lo : k + hi + 1].tolist()
 
 
 def _not_expandable(op: Operator, index: int, x: list[float]) -> MeshError:
@@ -93,22 +95,27 @@ def _not_expandable(op: Operator, index: int, x: list[float]) -> MeshError:
     )
 
 
-def _report(spec: SecondOperator, x: list[float], lo: int, index: int) -> ConsistencyReport:
+def _report(spec: SecondOperator, plan: _Plan, x: list[float], index: int) -> ConsistencyReport:
     """The moments M_2 and M_3, sum_j w_j (t_{k+j} - t_k)**p / p!, from one pass over the stencil row.
 
-    t_k is x[-lo].  Each moment is ``sum`` of a list in offset order, not a
-    running ``+=``: from Python 3.12 ``sum`` of floats is compensated, so
-    the two differ there, and the bitwise tests pin the ``sum`` form.  Steps
-    that float64 cannot expand over (a weight or a power that overflows,
-    points that collapse, or inf * 0 where weights overflow and powers
-    underflow) raise MeshError.  They are detected after the fact, by the
-    exception or by a moment that is not finite, so the loop and every
-    finite moment stay as they were.
+    The row is ``plan.rows`` in offset order, each weight read from
+    ``_weights``, so the (offset, weight) pairs of :func:`stencil` are never
+    built.  t_k is x[-lo].  Each moment is ``sum`` of a list in offset
+    order, not a running ``+=``: from Python 3.12 ``sum`` of floats is
+    compensated, so the two differ there, and the bitwise tests pin the
+    ``sum`` form.  Steps that float64 cannot expand over (a weight or a
+    power that overflows, points that collapse, or inf * 0 where weights
+    overflow and powers underflow) raise MeshError.  They are detected after
+    the fact, by the exception or by a moment that is not finite, so the
+    loop and every finite moment stay as they were.
     """
+    lo = plan.lo
     tk = x[-lo]
     squares, cubes = [], []
     try:
-        for j, w in stencil(spec, x):
+        weights = _weights(plan, x)
+        for j, i in plan.rows:
+            w = weights[i]
             d = x[j - lo] - tk
             squares.append(w * d**2)
             cubes.append(w * d**3)
@@ -158,19 +165,19 @@ def consistency_coefficient(spec: SecondOperator, steps: Sequence[float | None])
 
     # the points under the stencil relative to t_k = 0: back through h_{k-1},
     # h_{k-2} and forward through h_k, h_{k+1} as far as the operator reaches
-    lo, hi = _offsets(spec)
+    plan = _second_plan(spec)
     x = [0.0]
-    for which in range(1, 1 + lo, -1):
+    for which in range(1, 1 + plan.lo, -1):
         x.insert(0, x[0] - step(which))
-    for which in range(2, 2 + hi):
+    for which in range(2, 2 + plan.hi):
         x.append(x[-1] + step(which))
-    return _report(spec, x, lo, 2)
+    return _report(spec, plan, x, 2)
 
 
 def consistency_report_at(spec: SecondOperator, mesh: Mesh, k: int) -> ConsistencyReport:
     """Consistency report for one second difference at mesh index k."""
-    lo, _, x = _local_points(spec, mesh, k)
-    return _report(spec, x, lo, k)
+    plan, x = _local_points(spec, mesh, k)
+    return _report(spec, plan, x, k)
 
 
 def geometric_consistency(spec: SecondOperator, alpha: float) -> float:
@@ -233,13 +240,16 @@ def expansion_prediction(
     symmetric windows (c c, d+ d-, d- d+, d2), whose odd moments vanish on
     uniform meshes, and p = 4 otherwise.
     """
-    lo, hi, x = _local_points(spec, mesh, k)
+    plan, x = _local_points(spec, mesh, k)
+    lo = plan.lo
     tk = x[-lo]
-    p = 5 if lo == -hi else 4
-    # one pass over the stencil row; lists summed as in _report
+    p = 5 if lo == -plan.hi else 4
+    # one pass over the stencil row, weights and lists as in _report
     squares, cubes, fourths, remainders = [], [], [], []
     try:
-        for j, w in stencil(spec, x):
+        weights = _weights(plan, x)
+        for j, i in plan.rows:
+            w = weights[i]
             d = x[j - lo] - tk
             squares.append(w * d**2)
             cubes.append(w * d**3)

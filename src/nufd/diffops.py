@@ -58,9 +58,9 @@ class _Plan(NamedTuple):
     difference's b and a around each of them, the points of the weight
     products bb, ba, ab, aa (signs +, -, -, +).  A first difference has no
     inner difference.  ``rows`` pairs each offset the stencil touches, in
-    offset order, with its term in :func:`stencil`: for a first difference
-    -w or w (0 or 1); for a second difference product 0..3 added to 0.0, or
-    4 when products 1 and 2 land on one offset and add in that order.
+    offset order, with the index of its weight in ``_weights``: for a first
+    difference -w or w (0 or 1); for a second difference product 0..3 added
+    to 0.0, or 4 when products 1 and 2 land on one offset and add in that order.
     """
 
     lo: int
@@ -133,6 +133,8 @@ class GridFunction:
     """Values aligned with a contiguous window of mesh indices.
 
     ``values[i]`` sits at mesh point ``t_{first_index + i}``.  Compared and hashed by identity.
+    As with ``Mesh.points``, a C-contiguous float64 ``values`` array is kept,
+    not copied, and made read-only in place, so a 10**6-point input costs no copy.
     """
 
     mesh: Mesh
@@ -232,17 +234,22 @@ def stencil(op: Operator, x: Sequence) -> tuple[tuple[int, Any], ...]:
     sum_j w_j (t_{k+j} - t_k)**p / p! is the operator's f^(p) coefficient.
     The pairs come in offset order, one per point the stencil touches.
     """
-    _, _, (ob, oa), inner, rows, share = _plan(op)
+    plan = _plan(op)
+    weights = _weights(plan, x)
+    return tuple([(j, weights[i]) for j, i in plan.rows])
+
+
+def _weights(plan: _Plan, x: Sequence) -> tuple:
+    """The distinct weights that ``plan.rows`` index, on the points ``x`` of :func:`stencil`."""
+    _, _, (ob, oa), inner, _, share = plan
     w = share / (x[oa] - x[ob])
     if inner:
         bb, ba, ab, aa = inner
         wb = w * (1.0 / (x[ba] - x[bb]))
         wa = w * (1.0 / (x[aa] - x[ab]))
         nb = 0.0 - wb
-        terms = (wb, nb, 0.0 - wa, wa, nb - wa)
-    else:
-        terms = (-w, w)
-    return tuple([(j, terms[i]) for j, i in rows])
+        return (wb, nb, 0.0 - wa, wa, nb - wa)
+    return (-w, w)
 
 
 def slope_jump_divisors(op: Operator, t: np.ndarray) -> np.ndarray:

@@ -175,14 +175,18 @@ def make_polynomial(coefficients: Sequence[float]) -> AnalyticFunction:
     if not np.isfinite(coefs).all():
         raise ValueError(f"{label}: the coefficients are not all finite")
     # derivative coefficient tables, ascending powers; the last one is zero.
-    # A table that overflows reaches the evaluator as is; the suprema refuse it.
+    # The evaluator refuses an order whose table overflowed, the suprema any overflow.
     tables = [coefs]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_DERIVATIVE_ORDER + 1):
             tables.append(np.polynomial.polynomial.polyder(tables[-1]))
-    overflows = not np.isfinite(np.concatenate(tables)).all()
+    finite = [bool(np.isfinite(table).all()) for table in tables]
+    overflows = not all(finite)
 
     def evaluator(order: int, t):
+        if not finite[order]:
+            raise ValueError(f"{label}: a coefficient of its order-{order} derivative is not finite, "
+                             "so that derivative cannot be evaluated")
         t = np.asarray(t, dtype=np.float64)
         return np.polynomial.polynomial.polyval(t, tables[order])
 

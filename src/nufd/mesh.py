@@ -62,6 +62,10 @@ class Mesh:
     ``points`` holds t_0 .. t_{m+1}; ``steps``, the step sizes
     h_k = t_{k+1} - t_k for k = 0..m, is computed once as
     ``points[1:] - points[:-1]`` and shares the mesh's immutability.
+    A C-contiguous float64 array passed as ``points`` is not copied: the mesh
+    keeps that array and makes it read-only in place, so the caller's array
+    is frozen too, and a 10**6-point input costs no copy.  Any other input
+    is converted into a new array.
     """
 
     points: np.ndarray

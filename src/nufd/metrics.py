@@ -90,7 +90,7 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def classify(sgei: float) -> Literal["acceptable", "unacceptable"]:
-    """An approximation is unacceptable once its sgei reaches 1."""
-    if sgei < 0:
+    """An approximation is unacceptable once its sgei reaches 1; a negative or NaN sgei is a ValueError."""
+    if not sgei >= 0:
         raise ValueError(f"sgei must be nonnegative, got {sgei!r}")
     return "unacceptable" if sgei >= 1.0 else "acceptable"

@@ -105,6 +105,13 @@ class TestDiffCommand:
         assert result.exit_code == 0
         assert result.output.startswith("sgei=0.248")
 
+    def test_a_polynomial_order_whose_derivative_table_overflowed_is_named(self, runner, tmp_path):
+        # d+ d+ compares against the second derivative, whose table holds 20 * 1e307 = inf
+        result = run(runner, "--out", tmp_path, "diff", "--mesh", "uniform:0,1,11",
+                     "--function", "poly:c5=1e307", "--op", "d+ d+")
+        assert result.exit_code == 1
+        assert "poly(0,0,0,0,0,1e+307): a coefficient of its order-2 derivative is not finite" in result.output
+
     def test_reproduces_the_ex5_2_uniform_files(self, runner, tmp_path):
         preset, diff = tmp_path / "preset", tmp_path / "diff"
         assert run(runner, "--out", preset, "preset", "ex5_2").exit_code == 0

@@ -63,6 +63,15 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             g.values[0] = 1.0
 
+    def test_a_float64_array_is_kept_and_frozen_in_place(self):
+        # a large input is not copied, so the caller's array becomes the read-only values
+        m = build_uniform(0, 1, 5)
+        a = np.linspace(0, 1, 5)
+        assert GridFunction(m, 0, a).values is a and not a.flags.writeable
+        for other in (np.linspace(0, 1, 9)[::2], np.arange(5, dtype=np.int64)):
+            g = GridFunction(m, 0, other)
+            assert g.values is not other and other.flags.writeable
+
     def test_equality_and_hash_are_by_identity(self):
         # equal fields compare unequal: a value comparison of the arrays could only raise
         m = build_uniform(0, 1, 4)

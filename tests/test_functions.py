@@ -120,6 +120,27 @@ class TestPolynomial:
         with pytest.raises(ValueError, match=named):
             first_diff_error_bound(FirstDiffKind.FORWARD, f, build_uniform(0, 1, 11), 3)
 
+    @pytest.mark.parametrize("coefs,values", [
+        # at t = 0.5; 20 * 1e307 overflows from the second derivative on
+        ([0, 0, 0, 0, 0, 1e307], {0: 3.125e305, 1: 3.125e306}),
+        # 2 * 1e308 overflows in the first and second derivatives and drops out of the third
+        ([0, 0, 1e308, 1], {0: 2.5e307, 3: 6.0, 4: 0.0, 5: 0.0}),
+    ])
+    def test_an_order_whose_table_overflowed_is_refused_by_name(self, coefs, values):
+        mesh = build_uniform(0, 1, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = make_polynomial(coefs)
+            for order in range(MAX_DERIVATIVE_ORDER + 1):
+                if order in values:
+                    assert f.evaluate(order, 0.5) == values[order]
+                    continue
+                named = rf"^poly\(.*\): a coefficient of its order-{order} derivative is not finite"
+                with pytest.raises(ValueError, match=named):
+                    f.evaluate(order, 0.5)
+                with pytest.raises(ValueError, match=named):
+                    sample(f, order, mesh)
+
 
 class TestOscillatorSolution:
     def test_initial_data(self):

@@ -266,6 +266,15 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             m.steps[0] = 3.0
 
+    def test_a_float64_array_is_kept_and_frozen_in_place(self):
+        # a large input is not copied, so the caller's array becomes the read-only points
+        a = np.linspace(0, 1, 5)
+        assert Mesh(a).points is a and not a.flags.writeable
+        # any other input is converted into a new array and the caller's stays writeable
+        for other in (np.linspace(0, 1, 9)[::2], np.arange(5, dtype=np.int64)):
+            m = Mesh(other)
+            assert m.points is not other and other.flags.writeable
+
     def test_uniformity_tolerance_boundary(self):
         assert Mesh(np.array([0.0, 1.0, 2.0 + 5e-13])).is_uniform()
         assert not Mesh(np.array([0.0, 1.0, 2.0 + 5e-12])).is_uniform()

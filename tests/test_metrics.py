@@ -221,3 +221,7 @@ class TestClassify:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             classify(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            classify(float("nan"))
