@@ -97,3 +97,7 @@ run fail-function-sinusoid-phase-overflow diff --mesh "uniform:0,1,11" \
     --function "sinusoid:amplitude=1,frequency=1,phase=1e400" --op d+
 run diff-poly-derivative-tables-overflow diff --mesh "uniform:0,1,11" --function "poly:c5=1e307" --op d+
 run fail-diff-poly-derivative-order-overflow diff --mesh "uniform:0,1,11" --function "poly:c5=1e307" --op "d+ d+"
+run mesh-subnormal-steps-blocks mesh "uniform:0,1e-300,20001"
+run mesh-exponent-switch-blocks mesh "uniform:1e15,1e18,20001"
+run diff-poly-exact-zeros-blocks diff --mesh "uniform:0,1,20001" --function "poly:c2=1" --op "c c"
+run diff-negative-fixed-blocks diff --mesh "uniform:-1,1,20001" --function "poly:c1=1" --op d+

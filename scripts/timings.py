@@ -25,7 +25,9 @@ five case sets:
   of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7`` (39,999 points), which
   writes ``diff_grid.csv`` and ``diff_sld.csv`` as ``nufd diff`` does;
   ``run_oscillator`` with the ``d- d+`` march and kappa = 4 pi^2 on 20,000
-  uniform points of [0, 1]; and ``write_mesh_csv`` of that mesh;
+  uniform points of [0, 1]; ``write_mesh_csv`` of that mesh and of 4,097
+  uniform points, whose 4,096 rows cross one 2,048-row block seam; and
+  ``run_preset("ex5_2")``, whose 21- to 23-row tables stay on ``%``;
 - march: ``solve`` with ``d- d+`` and with ``d2``, kappa = 4 pi^2, on
   100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
 - arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
@@ -58,6 +60,7 @@ N_POINTS = 2001
 CALLS_PER_LOOP = 500
 DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
+SEAM_POINTS = 4_097
 MARCH_POINTS = 100_000
 ARRAY_POINTS = 1_000_000
 SMALL_CALLS = 200
@@ -169,6 +172,10 @@ def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
         ),
         "run_oscillator (20,000 points)": (presets.run_oscillator, [(problem, out / "oscillator.csv")]),
         "write_mesh_csv (20,000 points)": (nufd.write_mesh_csv, [(mesh, out / "mesh.csv")]),
+        "write_mesh_csv (4,097 points)": (
+            nufd.write_mesh_csv, [(nufd.build_uniform(0.0, 1.0, SEAM_POINTS), out / "seam.csv")]
+        ),
+        "run_preset ex5_2 (21-23-row tables)": (presets.run_preset, [("ex5_2", out)]),
     }
 
 

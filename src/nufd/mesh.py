@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import sys
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -41,8 +42,9 @@ UNIFORMITY_RTOL = 1e-12
 # 17 significant digits round-trip any IEEE double exactly.
 FLOAT_FORMAT = ".17g"
 
-# Rows per write of ``_write_tables``; a block of text stays under 0.5 MB.
-_BLOCK_ROWS = 4096
+# Rows per write of ``_write_tables``.  At 2048 a block of the ``_cells``
+# kernel's buffers stays near 1 MB, below what the ``%`` path held at 4096.
+_BLOCK_ROWS = 2048
 
 
 class MeshError(ValueError):
@@ -248,6 +250,211 @@ def smoothness_ratios(mesh: Mesh) -> np.ndarray:
     return h[1:] / h[:-1]
 
 
+# Tables of at least this many rows format their floats with the ``_cells``
+# kernel; shorter ones keep ``%``, which costs less on a few rows.
+_KERNEL_ROWS = 256
+# Decimal exponents of nonzero finite doubles: 5e-324 to 1.8e308.
+_E_MIN, _E_MAX = -324, 308
+_N_EXP = _E_MAX - _E_MIN + 1
+# Bytes of a ``_cells`` slot: sign and "0.000" prefix 6, first digit 1, one
+# unused, the other 16 digits with a point slot 17, exponent 5 ("e-308").
+_CELL = 30
+# The ``%d`` index column of the kernel: up to 16 digits.
+_INDEX = 16
+
+
+@functools.cache
+def _kernel_tables() -> tuple | None:
+    """Tables of ``_cells`` and ``_index_cells``, built on first use.
+
+    None unless ``np.longdouble`` is the 80-bit format, with its 64-bit
+    significand, on a little-endian machine (the words below are laid out
+    byte by byte); every table is then written with ``%``.
+
+    Per decimal exponent e the tables hold: the smallest double >= 10**e;
+    10**(16 - e) rounded to long double (exact for 0 <= 16 - e <= 27); the
+    relative margin of an undecided cell, twice the product's proven
+    relative error (2**-64 for the product alone, 2**-63 with a rounded
+    power); the sign-and-prefix word, for + then -; the exponent word, one
+    byte up; and, as three rows of words over the 17 bytes that follow the
+    first digit, the mask of the integer digits that fixed notation keeps,
+    the mask of everything after the point slot, and the point.  ``quads``
+    holds the four digits of 0..9999 as uint32 words, plain, then with
+    trailing zeros as NUL (0 is four NULs), then with leading zeros as NUL
+    (0 is "\0\0\00").
+    """
+    if np.finfo(np.longdouble).nmant != 63 or sys.byteorder != "little":
+        return None
+    exponents = range(_E_MIN, _E_MAX + 1)
+    floor = []
+    for e in range(_E_MIN, _E_MAX + 2):
+        f = float(f"1e{e}")
+        if math.isfinite(f):
+            num, den = f.as_integer_ratio()
+            if num * 10**max(-e, 0) < den * 10**max(e, 0):
+                f = math.nextafter(f, math.inf)
+        floor.append(f)
+    power = np.array([np.longdouble(f"1e{16 - e}") for e in exponents])
+    margin = np.array([2.0**-63 if 0 <= 16 - e <= 27 else 2.0**-62 for e in exponents])
+
+    def words(texts, size=8) -> np.ndarray:
+        return np.frombuffer(b"".join(t.encode("latin-1").ljust(size, b"\0") for t in texts), dtype=np.uint64)
+
+    def masks(counts) -> np.ndarray:
+        """Per count, its first bytes of 24 set, as three rows of words."""
+        return words(("\xff" * c for c in counts), 24).reshape(-1, 3).T.copy()
+
+    # Fixed notation keeps min(e, 16) digits after the first before its point,
+    # which fills the slot after them unless it sits in the "0.000" prefix.
+    before = [min(max(e, 0), 16) if e < 17 else 0 for e in exponents]
+    upto = [c + (not -4 <= e < 0) for e, c in zip(exponents, before)]
+    q = np.arange(10**4, dtype=np.uint16)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + ord("0")
+    zeros = digits == ord("0")
+    trailing = np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(zeros, axis=1) & (np.arange(4) < 3)
+    quads = np.concatenate([digits, np.where(trailing, 0, digits), np.where(leading, 0, digits)])
+    return (np.array(floor), power, margin,
+            words(sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "") for sign in ("", "-") for e in exponents),
+            words("" if -4 <= e < 17 else f"\0e{e:+03d}" for e in exponents),
+            masks(before), ~masks(upto), masks(upto) & ~masks(before) & np.uint64(0x2E2E2E2E2E2E2E2E),
+            quads.view(np.uint32).ravel())
+
+
+def _cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float64 v of ``x``, as NUL-padded uint8 rows of 32.
+
+    A row holds its cell's characters in order, with NULs between and after
+    them.  Each cell's 17 digits come from D = |v| * 10**(16 - e), e its exact
+    decimal exponent, formed and rounded in long double.  A cell whose D lies
+    within the margin of a half-integer, whose rounding carries to 10**17, or
+    whose value is not finite is formatted with ``%`` instead.
+    """
+    floor, power, margin, prefix, exponent, before, after, dots, quads = _kernel_tables()
+    n = x.size
+    a = np.abs(x)
+    zero, finite = a == 0, a < math.inf
+    a[zero | ~finite] = 1.0  # a zero is written as 1 with its first digit 0
+    i = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    i += a >= floor[i + 1]  # log10 is off by at most one near a power of ten
+    i -= a < floor[i]
+    d = a.astype(np.longdouble)
+    d *= power[i]
+    r = np.rint(d)
+    tie = np.abs((d - r).astype(np.float64)) >= 0.5 - d.astype(np.float64) * margin[i]
+    q = r.astype(np.uint64)
+    del d, r
+    undecided = ~finite | tie | (q >= 10**17)
+    high = (q // 10**8).astype(np.uint32)
+    low = (q - high * np.uint64(10**8)).astype(np.uint32)
+    first = high // 10**8
+    g = np.empty((n, 4), np.uint32)
+    g[:, 0], g[:, 1] = np.divmod(high - first * np.uint32(10**8), 10**4)
+    g[:, 2], g[:, 3] = np.divmod(low, 10**4)
+    # A group is dropped as trailing zeros when it and every group after it are zeros.
+    g[:, 3] += np.uint32(10**4)
+    g[:, 2] += np.uint32(10**4) * (g[:, 3] == 10**4)
+    g[:, 1] += np.uint32(10**4) * (low == 0)
+    g[:, 0] += np.uint32(10**4) * ((low == 0) & (g[:, 1] == 10**4))
+    # The 16 digits after the first without trailing zeros, moved one byte up
+    # into 17-byte rows of three words, leaving the point slot in front.  The
+    # digits before the point are all kept: NUL | "0" is "0".
+    stripped = np.take(quads, g).view(np.uint64)
+    del g
+    cells = np.empty((n, 4), np.uint64)
+    cells[:, 1] = (stripped[:, 0] << np.uint64(8)) & after[0][i]
+    cells[:, 2] = ((stripped[:, 1] << np.uint64(8)) | (stripped[:, 0] >> np.uint64(56))) & after[1][i]
+    cells[:, 3] = (stripped[:, 1] >> np.uint64(56)) & after[2][i]
+    dotted = (cells[:, 1] | cells[:, 2] | cells[:, 3]) != 0
+    for w in range(3):
+        cells[:, 1 + w] |= dots[w][i] * dotted
+    for w in range(2):
+        cells[:, 1 + w] |= (stripped[:, w] | np.uint64(0x3030303030303030)) & before[w][i]
+    cells[:, 0] = prefix[i + _N_EXP * np.signbit(x)]
+    cells[:, 3] |= exponent[i]
+    out = cells.view(np.uint8)
+    out[:, 6] = np.where(zero, ord("0"), first + ord("0"))
+    if undecided.any():
+        cell = "%" + FLOAT_FORMAT
+        text = np.array([cell % v for v in x[undecided].tolist()], dtype="S32")
+        out[undecided] = text.view(np.uint8).reshape(-1, 32)
+    return out
+
+
+def _index_cells(start: int, n: int) -> np.ndarray:
+    """``'%d' % k`` for k = start .. start + n - 1 (0 <= k < 10**16), as NUL-padded uint8 rows of 16."""
+    quads = _kernel_tables()[-1]
+    k = np.arange(start, start + n, dtype=np.uint64)
+    high, low = np.divmod(k, np.uint64(10**8))
+    g = np.empty((n, 4), np.uint32)
+    g[:, 0], g[:, 1] = np.divmod(high.astype(np.uint32), 10**4)
+    g[:, 2], g[:, 3] = np.divmod(low.astype(np.uint32), 10**4)
+    # Groups before the first nonzero one are NUL; that one drops its leading zeros.
+    empty = k[:, None] < np.array([10**12, 10**8, 10**4, 0], dtype=np.uint64)
+    leading = k[:, None] < np.array([10**16, 10**12, 10**8, 10**4], dtype=np.uint64)
+    g += np.where(empty, np.uint32(10**4), np.where(leading, np.uint32(2 * 10**4), np.uint32(0)))
+    return np.take(quads, g).view(np.uint8)
+
+
+def _write_kernel_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int,
+                         first_index: int | None) -> None:
+    """Write each block of every table, its floats formatted by ``_cells``.
+
+    A table's block is laid out in one uint8 matrix over a bytearray, each
+    cell in a fixed slot followed by its separator, and the bytearray's NULs
+    are dropped.  A column listed more than once keeps its cells for the
+    block; any other column's cells live only until they are laid out.
+    """
+    listed = Counter(id(c) for columns in tables_columns for c in columns)
+    lead = 0 if first_index is None else _INDEX + 1
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        index = None if first_index is None else _index_cells(first_index + lo, rows)
+        shared = {}
+        for fh, columns in zip(files, tables_columns):
+            buffer = bytearray(rows * (lead + (_CELL + 1) * len(columns)))
+            m = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
+            if index is not None:
+                m[:, :_INDEX] = index
+                m[:, _INDEX] = ord(",")
+            m[:, lead + _CELL :: _CELL + 1] = ord(",")
+            m[:, -1] = ord("\n")
+            for j, c in enumerate(columns):
+                cells = shared.get(id(c))
+                if cells is None:
+                    cells = _cells(np.asarray(c[lo : lo + rows], dtype=np.float64))
+                    if listed[id(c)] > 1:
+                        shared[id(c)] = cells
+                at = lead + j * (_CELL + 1)
+                m[:, at : at + _CELL] = cells[:, :_CELL]
+            fh.write(buffer.translate(None, b"\0").decode("ascii"))
+
+
+def _write_percent_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int,
+                          first_index: int | None) -> None:
+    """Write each block of every table, its floats formatted by ``%``.
+
+    Shared columns go through ``%s`` on cells formatted once; other columns
+    through the ``%.17g`` row template.
+    """
+    every = [c for columns in tables_columns for c in columns]
+    listed = Counter(map(id, every))
+    cell = "%" + FLOAT_FORMAT
+    rows = ["%d," * (first_index is not None)
+            + ",".join("%s" if listed[id(c)] > 1 else cell for c in columns) + "\n"
+            for columns in tables_columns]
+    unique = {id(c): c for c in every}
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        cells = {}
+        for key, c in unique.items():  # a shared column's floats are dropped once formatted
+            values = np.asarray(c[lo:hi], dtype=np.float64).tolist()
+            cells[key] = list(map(cell.__mod__, values)) if listed[key] > 1 else values
+        index = [] if first_index is None else [range(first_index + lo, first_index + hi)]
+        for fh, row, columns in zip(files, rows, tables_columns):
+            fh.write(row * (hi - lo) % tuple(chain.from_iterable(zip(*index, *(cells[id(c)] for c in columns)))))
+
+
 def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) -> None:
     """Write several CSV tables of equal length in lockstep.
 
@@ -257,33 +464,22 @@ def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) ->
     starts with its index, counting up from it.  Rows are formatted and
     written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
     A column object listed more than once is formatted once per block and
-    its cells are reused wherever it appears.
+    its cells are reused wherever it appears.  Tables of ``_KERNEL_ROWS`` or
+    more rows take the ``_cells`` kernel, which writes the same bytes.
     """
     targets, headers, tables_columns, footers = zip(*tables)
     every = [c for columns in tables_columns for c in columns]
     n = len(every[0])
     if any(len(c) != n for c in every):
         raise ValueError(f"every column of tables written together needs {n} rows")
-    listed = Counter(map(id, every))
-    cell = "%" + FLOAT_FORMAT
-    rows = ["%d," * (first_index is not None)
-            + ",".join("%s" if listed[id(c)] > 1 else cell for c in columns) + "\n"
-            for columns in tables_columns]
-    unique = {id(c): c for c in every}
+    kernel = (n >= _KERNEL_ROWS and _kernel_tables() is not None
+              and (first_index is None or 0 <= first_index <= 10**_INDEX - n))
     with ExitStack() as stack:
         files = [stack.enter_context(open(t, "w", newline="")) if isinstance(t, (str, Path)) else t
                  for t in targets]
         for fh, header in zip(files, headers):
             fh.write(header + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
-            cells = {}
-            for key, c in unique.items():  # a shared column's floats are dropped once formatted
-                values = np.asarray(c[lo:hi], dtype=np.float64).tolist()
-                cells[key] = list(map(cell.__mod__, values)) if listed[key] > 1 else values
-            index = [] if first_index is None else [range(first_index + lo, first_index + hi)]
-            for fh, row, columns in zip(files, rows, tables_columns):
-                fh.write(row * (hi - lo) % tuple(chain.from_iterable(zip(*index, *(cells[id(c)] for c in columns)))))
+        (_write_kernel_blocks if kernel else _write_percent_blocks)(files, tables_columns, n, first_index)
         for fh, footer in zip(files, footers):
             fh.writelines(line + "\n" for line in footer)
 

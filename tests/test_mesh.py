@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from nufd import (
     smoothness_ratios,
     write_mesh_csv,
 )
-from nufd.mesh import _BLOCK_ROWS, _write_tables
+import nufd.mesh
+from nufd.mesh import _BLOCK_ROWS, _KERNEL_ROWS, _cells, _index_cells, _kernel_tables, _write_tables
 
 from helpers import EPS, random_mesh, read_mesh_points, reference_columns_csv
 
@@ -476,3 +478,119 @@ class TestWriteTables:
             tracemalloc.stop()
         assert tables[1][0].size > 40 * n
         assert peak < 5e6
+
+
+def _kernel_text(x) -> list[str]:
+    """The cells ``_cells`` writes for ``x``, NULs dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in _cells(np.asarray(x, dtype=np.float64))]
+
+
+def _percent_text(x) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def _kernel_edge_values() -> list[float]:
+    """Named edge cases of the ``%.17g`` kernel, each with its negation."""
+    values = [5e-324, 2 * 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, 1.0, 0.5,
+              1e15 + 0.25, 1e15 + 0.75, 123456789012345.67, 12345678901234567.0]
+    # Both sides of every power of ten, two doubles deep.
+    for e in range(-323, 309):
+        p = float(f"1e{e}")
+        values += [p, math.nextafter(p, 0), math.nextafter(math.nextafter(p, 0), 0),
+                   math.nextafter(p, math.inf), math.nextafter(math.nextafter(p, math.inf), math.inf)]
+    # The notation switches: fixed from 1e-4, exponent below it and from 1e17.
+    for p in (1e-5, 1e-4, 1e16, 1e17):
+        values += [p * r for r in (0.5, 0.99999999999999989, 1.0000000000000002, 9.5)]
+    return values + [-v for v in values]
+
+
+def _carries(x: float) -> bool:
+    """True when x is below a power of ten that its 17-digit rounding reaches."""
+    e = math.floor(math.log10(x))
+    for p in (e, e + 1):
+        top = Fraction(10) ** p
+        if Fraction(x) < top and top - Fraction(x) < Fraction(10) ** (p - 17) / 2:
+            return True
+    return False
+
+
+_HAS_KERNEL = _kernel_tables() is not None
+_needs_kernel = pytest.mark.skipif(not _HAS_KERNEL, reason="needs the 80-bit long double on a little-endian machine")
+
+
+@_needs_kernel
+class TestCellKernel:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2047), st.integers(0, 2**52 - 1)),
+                    min_size=1, max_size=64))
+    @example([(False, 0, 0), (True, 0, 0), (False, 0, 1), (True, 0, 2**52 - 1), (False, 2046, 2**52 - 1),
+              (False, 2047, 0), (True, 2047, 0), (False, 2047, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_percent_on_raw_bit_patterns(self, fields):
+        # Every exponent field: subnormals, +-0, the largest finite, inf and nan.
+        bits = np.array([(s << 63) | (e << 52) | m for s, e, m in fields], dtype=np.uint64)
+        x = bits.view(np.float64)
+        assert _kernel_text(x) == _percent_text(x)
+
+    def test_matches_percent_on_the_named_edge_values(self):
+        values = _kernel_edge_values()
+        carried = [v for v in values if v > 0 and _carries(v)]
+        assert len(carried) >= 10  # e.g. 1e-14 and 1e98, written "1e-14" and "1e+98"
+        assert any("e-3" in s for s in _percent_text(values))
+        assert _kernel_text(values) == _percent_text(values)
+
+    def test_cells_the_product_cannot_decide_go_to_percent(self):
+        power = _kernel_tables()[1]
+        # Rounded in long double, these products land on the wrong side of a
+        # half: the 17th digit would be off by one without the margin.
+        for v in (4.835926947728293e-226, 6.661863177861465e-74, 7.555760759750064e-24):
+            e = math.floor(math.log10(v))
+            product = np.longdouble(v) * power[e + 324]
+            assert int(np.rint(product)) != round(Fraction(v) * Fraction(10) ** (16 - e))
+            assert _kernel_text([v, -v]) == _percent_text([v, -v])
+        # 17 significant digits of 1e15 + 0.25 end in an exact half, which %
+        # rounds to even.
+        for v, want in ((1e15 + 0.25, "1000000000000000.2"), (1e15 + 0.75, "1000000000000000.8")):
+            assert (Fraction(v) * 10) % 1 == Fraction(1, 2)
+            assert _kernel_text([v, -v]) == [want, "-" + want]
+
+    def test_its_tables_are_exact(self):
+        floor, power, margin = _kernel_tables()[:3]
+        for e in range(-324, 310):
+            f = floor[e + 324]
+            if e == 309:
+                assert f == math.inf
+                continue
+            assert Fraction(f) >= Fraction(10) ** e > Fraction(math.nextafter(f, 0))
+        for e in range(-324, 309):
+            k = 16 - e
+            num, den = power[e + 324].as_integer_ratio()
+            err = abs(Fraction(num, den) - Fraction(10) ** k) / Fraction(10) ** k
+            assert err == 0 if 0 <= k <= 27 else 0 < err <= Fraction(1, 2**64)
+            assert margin[e + 324] == (2.0**-63 if err == 0 else 2.0**-62)
+
+    @given(st.integers(0, 10**16 - 300) | st.sampled_from([0, 9_990, 99_999_990, 10**12 - 5, 2**53 - 7]),
+           st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_index_cells_match_percent_d(self, start, n):
+        got = [row.tobytes().replace(b"\0", b"").decode() for row in _index_cells(start, n)]
+        assert got == ["%d" % k for k in range(start, start + n)]
+
+    def test_short_tables_keep_percent(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("a short table reached the kernel")
+
+        monkeypatch.setattr(nufd.mesh, "_cells", refuse)
+        x = np.random.default_rng(2).standard_normal(_KERNEL_ROWS - 1)
+        buf = io.StringIO()
+        _write_tables([(buf, "k,x", (x,), ())], first_index=0)
+        assert buf.getvalue() == reference_columns_csv("k,x", (x,), 0)
+
+    def test_without_an_80_bit_long_double_every_table_takes_percent(self, monkeypatch):
+        x = np.array(_kernel_edge_values())
+        y = np.random.default_rng(4).standard_normal(x.size)
+        kernel = io.StringIO()
+        _write_tables([(kernel, "k,x,y", (x, y), ())], first_index=0)
+        monkeypatch.setattr(nufd.mesh, "_kernel_tables", lambda: None)
+        percent = io.StringIO()
+        _write_tables([(percent, "k,x,y", (x, y), ())], first_index=0)
+        assert kernel.getvalue() == percent.getvalue() == reference_columns_csv("k,x,y", (x, y), 0)
