@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, build_geometric, make_polynomial, make_sinusoid
+from nufd import D2_CORRECTED, FirstDiffKind, Mesh, SecondDiffSpec, build_geometric
 
 EPS = np.finfo(float).eps
 
@@ -83,22 +83,6 @@ def read_mesh_points(path) -> Mesh:
     if header != "k,t,h":
         raise ValueError(f"expected header 'k,t,h', got {header!r}")
     return Mesh(np.array([float(row.split(",")[1]) for row in rows]))
-
-
-def random_polynomial(rng: np.random.Generator, degree: int = 3):
-    coefs = rng.uniform(-2.0, 2.0, degree + 1)
-    return make_polynomial(coefs)
-
-
-def random_smooth_function(rng: np.random.Generator):
-    """Either a random cubic or a random low-frequency sinusoid."""
-    if rng.random() < 0.5:
-        return random_polynomial(rng, 3)
-    return make_sinusoid(
-        amplitude=rng.uniform(0.5, 2.0),
-        frequency=rng.uniform(1.0, 8.0),
-        phase=rng.uniform(0.0, 2 * np.pi),
-    )
 
 
 def abs_first_pass(kind: str, t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,36 +129,66 @@ class TestBuildEquiarclength:
         # steepest slope at the ends and the middle, flattest around 0.25, 0.75
         assert np.argmax(h) in (2, 8)
 
+    @staticmethod
+    def fine_arclength(curve):
+        """The grid and cumulative arclength of the trapezoidal rule on 200,000 panels of [0, 1]."""
+        s = np.linspace(0, 1, 200_001)
+        speed = np.sqrt(1 + np.asarray(curve.evaluate(1, s)) ** 2)
+        return s, np.concatenate(([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(s))))
+
     def test_equal_arclength_pieces_against_fine_quadrature(self):
         curve = make_sinusoid(amplitude=1.0, frequency=2 * math.pi)
-        n_points, quad = 12, 10_000
-        m = build_equiarclength(curve, 0, 1, n_points, quad_resolution=quad)
-        oracle = build_equiarclength(curve, 0, 1, n_points, quad_resolution=20 * quad)
+        n_points = 12
+        m = build_equiarclength(curve, 0, 1, n_points)
 
-        s_fine = np.linspace(0, 1, 20 * quad + 1)
-        speed = np.sqrt(1 + np.asarray(curve.evaluate(1, s_fine)) ** 2)
-        cum_fine = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(s_fine)))
-        )
+        s_fine, cum_fine = self.fine_arclength(curve)
         total = cum_fine[-1]
+        oracle = np.interp(np.linspace(0, total, n_points), cum_fine, s_fine)
         # quadrature error of the builder's table-and-inversion pipeline,
         # measured as arclength drift of its points against the oracle mesh
         quad_error = np.max(
             np.abs(
                 np.interp(m.points, s_fine, cum_fine)
-                - np.interp(oracle.points, s_fine, cum_fine)
+                - np.interp(oracle, s_fine, cum_fine)
             )
         )
+        assert quad_error <= 1e-7 * total
         pieces = np.diff(np.interp(m.points, s_fine, cum_fine))
         target = total / (n_points - 1)
         assert np.max(np.abs(pieces - target)) <= 2 * quad_error + 1e-12 * total
+
+    def test_more_points_than_the_smallest_table(self):
+        curve = make_sinusoid(amplitude=1.0, frequency=2 * math.pi)
+        n_points = 2 * nufd.mesh.ARCLENGTH_PANELS
+        m = build_equiarclength(curve, 0, 1, n_points)
+        s_fine, cum_fine = self.fine_arclength(curve)
+        target = cum_fine[-1] / (n_points - 1)
+        np.testing.assert_allclose(m.points, np.interp(np.arange(n_points) * target, cum_fine, s_fine),
+                                   rtol=0, atol=1e-7)
+        pieces = np.diff(np.interp(m.points, s_fine, cum_fine))
+        np.testing.assert_allclose(pieces, target, rtol=1e-3)
+
+    def test_tied_points_are_named(self):
+        # 1e15 + 1 is only 8 ulps above 1e15, too few for 12 distinct points
+        curve = make_sinusoid(amplitude=1.0, frequency=2 * math.pi)
+        with pytest.raises(MeshError, match=r"strictly increasing; points\[2\]=1000000000000000.2 >= ") as info:
+            build_equiarclength(curve, 1e15, 1e15 + 1, 12)
+        assert "quad_resolution" not in str(info.value)
+
+    @pytest.mark.parametrize("curve,a,b,label", [
+        (make_polynomial([0, 0, 0, 0, 0, 1e300]), 0.0, 1.0, "poly(0,0,0,0,0,1e+300) on [0.0, 1.0]"),
+        (make_sinusoid(amplitude=1.0, frequency=2 * math.pi), -1e308, 1e308,
+         "sinusoid(amplitude=1,frequency=6.28319,phase=0) on [-1e+308, 1e+308]"),
+    ], ids=["steep-curve", "wide-interval"])
+    def test_overflowing_arclength_is_named(self, curve, a, b, label):
+        with pytest.raises(MeshError) as info, np.errstate(all="ignore"):
+            build_equiarclength(curve, a, b, 12)
+        assert str(info.value) == f"the arclength of {label} is not a finite float"
 
     def test_rejects_bad_inputs(self):
         curve = make_sinusoid(amplitude=1.0, frequency=1.0)
         with pytest.raises(MeshError):
             build_equiarclength(curve, 1, 0, 12)
-        with pytest.raises(MeshError):
-            build_equiarclength(curve, 0, 1, 12, quad_resolution=5)
 
 
 class TestRefineInsert:
