@@ -3,9 +3,9 @@
 Usage: PYTHONPATH=src python3 scripts/record_cli_outputs.py
 
 Runs every command in this one interpreter through
-``nufd.cli.main(args, standalone_mode=False)``, each writing into its own
-``NN-name`` directory numbered as ``scripts/cli_outputs.sh`` numbers them,
-and rewrites tests/data/cli_outputs.sha256:
+``nufd.cli.main(args, standalone_mode=False)``, each keeping its files and
+its stdout in its own ``NN-name`` directory (NN numbers the commands from
+00), and rewrites tests/data/cli_outputs.sha256:
 
 - a header naming the platform the outputs were made on;
 - ``<sha256>  NN-name/<file>`` for each file a command writes and for its
@@ -14,7 +14,8 @@ and rewrites tests/data/cli_outputs.sha256:
 
 tests/test_cli_outputs.py replays the same commands and compares.  A change
 that alters an output on purpose reruns this script, and the diff of the
-record shows which outputs moved.
+record shows which outputs moved.  scripts/compare_outputs.sh runs
+``replay`` on two source trees and compares the trees it leaves.
 """
 
 from __future__ import annotations
@@ -54,7 +55,11 @@ def commands() -> list[tuple[str, list[str]]]:
 
 
 def replay(out: Path) -> list[str]:
-    """Run every command with its files under ``out``; the record's lines, header excluded."""
+    """Run every command with its files and stdout under ``out``; the record's lines, header excluded.
+
+    A command that raises gives an ``error`` line naming the exception, so a
+    tree that crashes on one command still replays the others.
+    """
     lines = []
     for name, args in commands():
         directory = out / name
@@ -62,13 +67,19 @@ def replay(out: Path) -> list[str]:
         try:
             with contextlib.redirect_stdout(stdout):
                 cli.main(["--out", str(directory), *args], standalone_mode=False)
-        except click.ClickException as exc:
-            lines.append(f"error  {name}  {type(exc).__name__} {json.dumps(exc.format_message())}")
-        outputs = {"stdout": stdout.getvalue().encode()}
-        if directory.exists():
-            outputs.update((p.name, p.read_bytes()) for p in directory.iterdir())
-        lines.extend(f"{hashlib.sha256(data).hexdigest()}  {name}/{file}" for file, data in sorted(outputs.items()))
+        except Exception as exc:  # a crash is recorded, not raised, so the remaining commands still run
+            message = exc.format_message() if isinstance(exc, click.ClickException) else str(exc)
+            lines.append(f"error  {name}  {type(exc).__name__} {json.dumps(message)}")
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "stdout").write_bytes(stdout.getvalue().encode())
+        lines.extend(digest_lines(directory))
     return lines
+
+
+def digest_lines(directory: Path) -> list[str]:
+    """``<sha256>  NN-name/<file>`` for each file of one command's ``NN-name`` directory, in name order."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {directory.name}/{path.name}"
+            for path in sorted(directory.iterdir())]
 
 
 if __name__ == "__main__":

@@ -25,9 +25,11 @@ five case sets:
   of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7`` (39,999 points), which
   writes ``diff_grid.csv`` and ``diff_sld.csv`` as ``nufd diff`` does;
   ``run_oscillator`` with the ``d- d+`` march and kappa = 4 pi^2 on 20,000
-  uniform points of [0, 1]; ``write_mesh_csv`` of that mesh and of 4,097
-  uniform points, whose 4,096 rows cross one 2,048-row block seam; and
-  ``run_preset("ex5_2")``, whose 21- to 23-row tables stay on ``%``;
+  uniform points of [0, 1]; ``write_mesh_csv`` of that mesh, of 4,097
+  uniform points, whose 4,096 rows cross one 2,048-row block seam, and of
+  23 uniform points, whose 22-row table stays on ``%``, the path any writer
+  change must time; and ``run_preset("ex5_2")``, whose 21- to 23-row tables
+  stay on ``%`` too;
 - march: ``solve`` with ``d- d+`` and with ``d2``, kappa = 4 pi^2, on
   100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
 - arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
@@ -61,6 +63,7 @@ CALLS_PER_LOOP = 500
 DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
 SEAM_POINTS = 4_097
+SHORT_POINTS = 23
 MARCH_POINTS = 100_000
 ARRAY_POINTS = 1_000_000
 SMALL_CALLS = 200
@@ -70,7 +73,7 @@ SMALL_ARRAY_POINTS = 1_000
 CASE_SETS = {
     "scalar": ("µs", 1e6, 41, 3),
     "small": ("µs", 1e6, 41, 2),
-    "csv": ("ms", 1e3, 25, 2),
+    "csv": ("ms", 1e3, 25, 3),
     "march": ("ms", 1e3, 41, 3),
     "arrays": ("ms", 1e3, 31, 2),
 }
@@ -174,6 +177,9 @@ def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
         "write_mesh_csv (20,000 points)": (nufd.write_mesh_csv, [(mesh, out / "mesh.csv")]),
         "write_mesh_csv (4,097 points)": (
             nufd.write_mesh_csv, [(nufd.build_uniform(0.0, 1.0, SEAM_POINTS), out / "seam.csv")]
+        ),
+        "write_mesh_csv (23 points)": (
+            nufd.write_mesh_csv, [(nufd.build_uniform(0.0, 1.0, SHORT_POINTS), out / "short.csv")]
         ),
         "run_preset ex5_2 (21-23-row tables)": (presets.run_preset, [("ex5_2", out)]),
     }

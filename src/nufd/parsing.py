@@ -54,7 +54,12 @@ def _parse_term(token: str, context: str, offset: int) -> float:
         )
     value = float(m.group("num")) if m.group("num") is not None else 1.0
     if m.group("pi"):
-        value *= math.pi ** int(m.group("exp") or 1)
+        try:
+            value *= math.pi ** int(m.group("exp") or 1)
+        except (OverflowError, ValueError) as exc:  # ValueError: an exponent past int's 4,300-digit limit
+            raise SpecError(
+                f"number {token.strip()!r} in {context!r} (column {offset + 1}) overflows a float"
+            ) from exc
     if m.group("sign") == "-":
         value = -value
     return value

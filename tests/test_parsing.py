@@ -42,6 +42,15 @@ class TestParseNumber:
         with pytest.raises(SpecError, match="column"):
             parse_number("1/oops")
 
+    def test_overflowing_pi_power_is_named(self):
+        with pytest.raises(SpecError, match=r"^number 'pi\^1000' in 'pi\^1000' \(column 1\) overflows a float$"):
+            parse_number("pi^1000")
+        with pytest.raises(SpecError, match=r"'2pi\^700' in 'uniform:0,2pi\^700,5' \(column 11\)"):
+            parse_mesh_spec("uniform:0,2pi^700,5")
+        with pytest.raises(SpecError, match=r"overflows a float$"):
+            parse_number("pi^" + "9" * 5000)  # more digits than int() converts
+        assert parse_number("1e400") == math.inf  # a float literal's own overflow stays inf
+
 
 class TestParseFunctionSpec:
     def test_sinusoid(self):
