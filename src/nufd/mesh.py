@@ -12,10 +12,9 @@ import functools
 import io
 import math
 import sys
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -390,60 +389,46 @@ def _index_cells(start: int, n: int) -> np.ndarray:
     return np.take(quads, g).view(np.uint8)
 
 
-def _write_kernel_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int,
-                         first_index: int | None) -> None:
-    """Write each block of every table, its floats formatted by ``_cells``.
+def _write_kernel_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int, first_index: int) -> None:
+    """Write each block of every indexed table, its floats formatted by ``_cells``.
 
     A table's block is laid out in one uint8 matrix over a bytearray, each
     cell in a fixed slot followed by its separator, and the bytearray's NULs
-    are dropped.  A column listed more than once keeps its cells for the
-    block; any other column's cells live only until they are laid out.
+    are dropped.  A column's cells are formatted at its first slot in the
+    block and kept for its other slots.
     """
-    listed = Counter(id(c) for columns in tables_columns for c in columns)
-    lead = 0 if first_index is None else _INDEX + 1
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
-        index = None if first_index is None else _index_cells(first_index + lo, rows)
-        shared = {}
+        index = _index_cells(first_index + lo, rows)
+        cells = {}
         for fh, columns in zip(files, tables_columns):
-            buffer = bytearray(rows * (lead + (_CELL + 1) * len(columns)))
+            buffer = bytearray(rows * (_INDEX + 1 + (_CELL + 1) * len(columns)))
             m = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
-            if index is not None:
-                m[:, :_INDEX] = index
-                m[:, _INDEX] = ord(",")
-            m[:, lead + _CELL :: _CELL + 1] = ord(",")
+            m[:, :_INDEX] = index
+            m[:, _INDEX :: _CELL + 1] = ord(",")
             m[:, -1] = ord("\n")
             for j, c in enumerate(columns):
-                cells = shared.get(id(c))
-                if cells is None:
-                    cells = _cells(np.asarray(c[lo : lo + rows], dtype=np.float64))
-                    if listed[id(c)] > 1:
-                        shared[id(c)] = cells
-                at = lead + j * (_CELL + 1)
-                m[:, at : at + _CELL] = cells[:, :_CELL]
+                got = cells.get(id(c))
+                if got is None:
+                    got = cells[id(c)] = _cells(np.asarray(c[lo : lo + rows], dtype=np.float64))
+                at = _INDEX + 1 + j * (_CELL + 1)
+                m[:, at : at + _CELL] = got[:, :_CELL]
             fh.write(buffer.translate(None, b"\0").decode("ascii"))
 
 
 def _write_percent_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int,
                           first_index: int | None) -> None:
-    """Write each block of every table, its floats formatted by ``%``.
+    """Write each block of every table through ``%`` row templates of ``%s`` cells.
 
-    Shared columns go through ``%s`` on cells formatted once; other columns
-    through the ``%.17g`` row template.
+    Each cell is ``float.__format__(v, FLOAT_FORMAT)``: the bytes of
+    ``'%.17g' % v``, and faster than it.
     """
-    every = [c for columns in tables_columns for c in columns]
-    listed = Counter(map(id, every))
-    cell = "%" + FLOAT_FORMAT
-    rows = ["%d," * (first_index is not None)
-            + ",".join("%s" if listed[id(c)] > 1 else cell for c in columns) + "\n"
-            for columns in tables_columns]
-    unique = {id(c): c for c in every}
+    unique = {id(c): c for columns in tables_columns for c in columns}
+    rows = ["%d," * (first_index is not None) + ",".join(["%s"] * len(columns)) + "\n" for columns in tables_columns]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        cells = {}
-        for key, c in unique.items():  # a shared column's floats are dropped once formatted
-            values = np.asarray(c[lo:hi], dtype=np.float64).tolist()
-            cells[key] = list(map(cell.__mod__, values)) if listed[key] > 1 else values
+        cells = {key: list(map(float.__format__, np.asarray(c[lo:hi], dtype=np.float64).tolist(), repeat(FLOAT_FORMAT)))
+                 for key, c in unique.items()}
         index = [] if first_index is None else [range(first_index + lo, first_index + hi)]
         for fh, row, columns in zip(files, rows, tables_columns):
             fh.write(row * (hi - lo) % tuple(chain.from_iterable(zip(*index, *(cells[id(c)] for c in columns)))))
@@ -457,9 +442,10 @@ def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) ->
     float is written with ``FLOAT_FORMAT``.  With ``first_index`` each row
     starts with its index, counting up from it.  Rows are formatted and
     written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
-    A column object listed more than once is formatted once per block and
-    its cells are reused wherever it appears.  Tables of ``_KERNEL_ROWS`` or
-    more rows take the ``_cells`` kernel, which writes the same bytes.
+    Each distinct column object is formatted once per block, and its cells
+    serve every table that lists it.  Indexed tables of ``_KERNEL_ROWS`` or
+    more rows take the ``_cells`` kernel, which writes the same bytes as
+    ``%``; every other table takes ``%``.
     """
     targets, headers, tables_columns, footers = zip(*tables)
     every = [c for columns in tables_columns for c in columns]
@@ -467,7 +453,7 @@ def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) ->
     if any(len(c) != n for c in every):
         raise ValueError(f"every column of tables written together needs {n} rows")
     kernel = (n >= _KERNEL_ROWS and _kernel_tables() is not None
-              and (first_index is None or 0 <= first_index <= 10**_INDEX - n))
+              and first_index is not None and 0 <= first_index <= 10**_INDEX - n)
     with ExitStack() as stack:
         files = [stack.enter_context(open(t, "w", newline="")) if isinstance(t, (str, Path)) else t
                  for t in targets]

@@ -19,7 +19,7 @@ import re
 from typing import Callable
 
 from . import mesh as meshmod
-from .diffops import D2_CORRECTED, FirstDiffKind, Operator, SecondDiffSpec
+from .diffops import ALL_SECOND_SPECS, D2_CORRECTED, FirstDiffKind, Operator
 from .functions import (
     MAX_DERIVATIVE_ORDER,
     AnalyticFunction,
@@ -227,26 +227,25 @@ def _as_int(value: float, name: str, context: str) -> int:
     return int(value)
 
 
-_FIRST_BY_NAME = {k.value: k for k in FirstDiffKind}
+# Every operator under its printed name; a pair is named "<outer> <inner>".
+_OPERATORS = {str(op): op for op in (*FirstDiffKind, *ALL_SECOND_SPECS, D2_CORRECTED)}
 
 
 def parse_operator(text: str) -> Operator:
-    """Parse ``d+``, ``d-``, ``c``, ``d2`` or an ordered pair like ``d+ d-``."""
+    """Parse an operator by its printed name: ``d+``, ``d-``, ``c``, ``d2`` or an ordered pair like ``d+ d-``.
+
+    Runs of whitespace between and around the names do not matter.
+    """
     parts = text.split()
+    op = _OPERATORS.get(" ".join(parts))
+    if op is not None:
+        return op
     if len(parts) == 1:
-        name = parts[0]
-        if name == "d2":
-            return D2_CORRECTED
-        if name in _FIRST_BY_NAME:
-            return _FIRST_BY_NAME[name]
         raise SpecError(
-            f"unknown operator {name!r} (column 1); use d+, d-, c, d2 or a pair like 'd+ d-'"
+            f"unknown operator {parts[0]!r} (column 1); use d+, d-, c, d2 or a pair like 'd+ d-'"
         )
     if len(parts) == 2:
-        outer, inner = parts
-        if outer in _FIRST_BY_NAME and inner in _FIRST_BY_NAME:
-            return SecondDiffSpec(_FIRST_BY_NAME[outer], _FIRST_BY_NAME[inner])
-        bad = outer if outer not in _FIRST_BY_NAME else inner
+        bad = next(part for part in parts if not isinstance(_OPERATORS.get(part), FirstDiffKind))
         raise SpecError(
             f"unknown difference {bad!r} in {text!r} (column {text.find(bad) + 1})"
         )

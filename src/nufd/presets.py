@@ -9,6 +9,7 @@ for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -67,14 +68,19 @@ def section5_uniform_mesh() -> Mesh:
     return refine_insert(build_uniform(0.0, 1.0, 12), 0.5)
 
 
+@functools.cache
+def _section5_base_mesh() -> Mesh:
+    """The equi-arclength 12-point mesh for sin(2*pi*t), built once: a mesh is immutable."""
+    return build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
+
+
 def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
     """The equi-arclength 12-point mesh for sin(2*pi*t), one point inserted per step.
 
     ``beta`` > 0.5 places the inserted points closer to their right
     neighbours.
     """
-    base = build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
-    return refine_insert(base, beta)
+    return refine_insert(_section5_base_mesh(), beta)
 
 
 def oscillator_meshes() -> tuple[Mesh, Mesh]:

@@ -481,6 +481,58 @@ class TestLinearity:
             assert np.all(np.abs(left - right) <= 16 * EPS * (scale + np.abs(left)) + floor)
 
 
+_ALL_OPERATORS = (*FirstDiffKind, *ALL_SECOND_SPECS, D2_CORRECTED)
+_MIRRORED = {F: B, B: F, C: C}
+
+
+def _mirrored(op):
+    """The operator that t -> -t turns ``op`` into: d+ and d- swap, a pair maps componentwise, c and d2 stay."""
+    if isinstance(op, FirstDiffKind):
+        return _MIRRORED[op]
+    if isinstance(op, SecondDiffSpec):
+        return SecondDiffSpec(_MIRRORED[op.outer], _MIRRORED[op.inner])
+    return op
+
+
+class TestExactSymmetries:
+    """Reflecting the mesh, or scaling it by a power of two, changes every operator's result exactly."""
+
+    _MESHES = dict(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        family=st.sampled_from(MESH_FAMILIES),
+        n_points=st.integers(min_value=5, max_value=50),  # a geometric ratio of 1/2 ties points beyond 55
+    )
+
+    @given(**_MESHES)
+    @settings(max_examples=150, deadline=None)
+    def test_reflection(self, seed, family, n_points):
+        rng = np.random.default_rng(seed)
+        m = family_mesh(rng, family, n_points)
+        u = GridFunction(m, 0, rng.normal(size=n_points))
+        # t -> -t with the points and values reversed, so the mesh still increases
+        mirror = GridFunction(Mesh(-m.points[::-1]), 0, u.values[::-1])
+        for op in _ALL_OPERATORS:
+            out = apply_operator(op, u)
+            reflected = apply_operator(_mirrored(op), mirror)
+            assert reflected.first_index == n_points - 1 - out.last_index
+            sign = (-1.0) ** derivative_order(op)
+            assert reflected.values[::-1].tobytes() == (sign * out.values).tobytes(), str(op)
+
+    @given(**_MESHES, j=st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling(self, seed, family, n_points, j):
+        rng = np.random.default_rng(seed)
+        m = family_mesh(rng, family, n_points)
+        u = GridFunction(m, 0, rng.normal(size=n_points))
+        scaled = GridFunction(Mesh(m.points * 2.0**j), 0, u.values)
+        for op in _ALL_OPERATORS:
+            out = apply_operator(op, u)
+            changed = apply_operator(op, scaled)
+            assert changed.first_index == out.first_index
+            unscaled = changed.values * 2.0 ** (j * derivative_order(op))
+            assert unscaled.tobytes() == out.values.tobytes(), str(op)
+
+
 class TestOperatorDispatch:
     def test_apply_and_order(self):
         m = build_uniform(0, 1, 9)

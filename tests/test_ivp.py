@@ -351,6 +351,35 @@ class TestSolveBits:
             assert (solution.sld.scale, solution.sld.sgei) == (scale, sgei)
 
 
+class TestExactRescaling:
+    """(t, kappa, initial_slope) -> (2**j t, 2**-2j kappa, 2**-j initial_slope) is exact in every
+    product of the march and of the exact motion, so neither w nor exact moves by a bit."""
+
+    @pytest.mark.parametrize("operator", MARCHABLE, ids=str)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(MESH_FAMILIES),
+        st.integers(min_value=5, max_value=50),  # a geometric ratio of 1/2 ties points beyond 55
+        st.integers(min_value=-20, max_value=20),
+        st.floats(0.01, 0.99),
+        # Scaling by 2**j is exact only away from subnormals: data near 1e-308 rounds differently.
+        st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+        st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_rescaling_leaves_the_solution(self, operator, seed, family, n_points, j, share,
+                                                        value, slope):
+        mesh = family_mesh(np.random.default_rng(seed), family, n_points)
+        growth_h = slope_jump_divisors(operator, mesh.points) * mesh.steps[1:]
+        kappa = 4 * share / float(np.max(growth_h))
+        base = solve(IvpProblem(kappa=kappa, mesh=mesh, operator=operator,
+                                initial_value=value, initial_slope=slope))
+        scaled = solve(IvpProblem(kappa=kappa * 2.0 ** (-2 * j), mesh=Mesh(mesh.points * 2.0**j),
+                                  operator=operator, initial_value=value, initial_slope=slope * 2.0**-j))
+        assert scaled.w.values.tobytes() == base.w.values.tobytes()
+        assert scaled.exact.values.tobytes() == base.exact.values.tobytes()
+
+
 class TestEffectiveEquationFactor:
     """The factor by which a march rescales u'': its operator's leading coefficient.
 

@@ -607,13 +607,15 @@ class TestCellKernel:
 
     def test_short_tables_keep_percent(self, monkeypatch):
         def refuse(x):
-            raise AssertionError("a short table reached the kernel")
+            raise AssertionError("a short or unindexed table reached the kernel")
 
         monkeypatch.setattr(nufd.mesh, "_cells", refuse)
-        x = np.random.default_rng(2).standard_normal(_KERNEL_ROWS - 1)
-        buf = io.StringIO()
-        _write_tables([(buf, "k,x", (x,), ())], first_index=0)
-        assert buf.getvalue() == reference_columns_csv("k,x", (x,), 0)
+        x = np.random.default_rng(2).standard_normal(_KERNEL_ROWS)
+        # One row short of the kernel with an index, and long enough for it without one.
+        for rows, header, first_index in ((_KERNEL_ROWS - 1, "k,x", 0), (_KERNEL_ROWS, "x", None)):
+            buf = io.StringIO()
+            _write_tables([(buf, header, (x[:rows],), ())], first_index=first_index)
+            assert buf.getvalue() == reference_columns_csv(header, (x[:rows],), first_index)
 
     def test_without_an_80_bit_long_double_every_table_takes_percent(self, monkeypatch):
         x = np.array(_kernel_edge_values())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nufd import D2_CORRECTED, FirstDiffKind, SecondDiffSpec
+from nufd import ALL_SECOND_SPECS, D2_CORRECTED, FirstDiffKind, SecondDiffSpec
 from nufd.parsing import (
     SpecError,
     parse_function_spec,
@@ -169,6 +169,17 @@ class TestMeshSizeCap:
             parse_mesh_spec(spec)
 
 
+# Each malformed operator spec with its exact message.
+_MALFORMED_OPERATORS = {
+    "dd": "unknown operator 'dd' (column 1); use d+, d-, c, d2 or a pair like 'd+ d-'",
+    "d+ d- c": "operator spec 'd+ d- c' must be one name or an ordered pair",
+    "d+ q": "unknown difference 'q' in 'd+ q' (column 4)",
+    "d2 d2": "unknown difference 'd2' in 'd2 d2' (column 1)",
+    "c  d2": "unknown difference 'd2' in 'c  d2' (column 4)",
+    "": "operator spec '' must be one name or an ordered pair",
+}
+
+
 class TestParseOperator:
     def test_first_differences(self):
         assert parse_operator("d+") is FirstDiffKind.FORWARD
@@ -182,7 +193,13 @@ class TestParseOperator:
         spec = parse_operator("d+ d-")
         assert spec == SecondDiffSpec(FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD)
 
-    @pytest.mark.parametrize("bad", ["dd", "d+ d- c", "d+ q", "d2 d2"])
+    def test_every_operator_parses_from_its_printed_name(self):
+        for op in (*FirstDiffKind, *ALL_SECOND_SPECS, D2_CORRECTED):
+            assert parse_operator(str(op)) == op
+            assert parse_operator("  " + "\t ".join(str(op).split()) + " ") == op
+
+    @pytest.mark.parametrize("bad", list(_MALFORMED_OPERATORS))
     def test_rejects_malformed(self, bad):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as info:
             parse_operator(bad)
+        assert str(info.value) == _MALFORMED_OPERATORS[bad]
