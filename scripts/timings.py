@@ -20,16 +20,20 @@ five case sets:
   pipeline: ``Mesh`` of 1,000 jittered points (seed 2001), ``sample`` of
   -sin(4 pi t) and of its second derivative, ``d- d+`` by
   ``apply_operator`` and ``scaled_local_difference``;
-- csv: each case makes one call that writes into a temporary directory:
-  ``run_custom`` with the `c c` operator against the exact second derivative
-  of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7`` (39,999 points), which
-  writes ``diff_grid.csv`` and ``diff_sld.csv`` as ``nufd diff`` does;
-  ``run_oscillator`` with the ``d- d+`` march and kappa = 4 pi^2 on 20,000
-  uniform points of [0, 1]; ``write_mesh_csv`` of that mesh, of 4,097
-  uniform points, whose 4,096 rows cross one 2,048-row block seam, and of
-  23 uniform points, whose 22-row table stays on ``%``, the path any writer
-  change must time; and ``run_preset("ex5_2")``, whose 21- to 23-row tables
-  stay on ``%`` too;
+- csv: all but the last two cases make one call that writes into a
+  temporary directory: ``run_custom`` with the `c c` operator against the
+  exact second derivative of -sin(4 pi t) on ``uniform:0,1,20000+insert:0.7``
+  (39,999 points), which writes ``diff_grid.csv`` and ``diff_sld.csv`` as
+  ``nufd diff`` does; ``run_oscillator`` with the ``d- d+`` march and
+  kappa = 4 pi^2 on 20,000 uniform points of [0, 1]; ``write_mesh_csv`` of
+  that mesh, of 4,097 uniform points, whose 4,096 rows cross one 2,048-row
+  block seam, and of 23 uniform points, whose 22-row table stays on ``%``,
+  the path any writer change must time; and ``run_preset("ex5_2")``, whose
+  21- to 23-row tables stay on ``%`` too.  The last two cases write into a
+  new ``io.StringIO`` per call, so no file open and close dilutes the
+  writer's own time: ``write_mesh_csv`` of 23 uniform points (``%``), a
+  call set of 200 calls, and of 300 uniform points (the ``_cells`` kernel),
+  a call set of 20 calls;
 - march: ``solve`` with ``d- d+`` and with ``d2``, kappa = 4 pi^2, on
   100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
 - arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
@@ -50,6 +54,7 @@ import argparse
 import functools
 import importlib
 import importlib.util
+import io
 import math
 import statistics
 import sys
@@ -64,6 +69,7 @@ DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
 SEAM_POINTS = 4_097
 SHORT_POINTS = 23
+KERNEL_POINTS = 300
 MARCH_POINTS = 100_000
 ARRAY_POINTS = 1_000_000
 SMALL_CALLS = 200
@@ -161,6 +167,10 @@ def _small_cases(nufd, out: Path) -> dict[str, tuple]:
     return cases
 
 
+def _write_mesh_to_memory(nufd, mesh) -> None:
+    nufd.write_mesh_csv(mesh, io.StringIO())
+
+
 def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
     """name -> (function, one argument tuple); public API only, so any tree can run it."""
     presets = importlib.import_module(f"{nufd.__name__}.presets")
@@ -182,6 +192,12 @@ def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
             nufd.write_mesh_csv, [(nufd.build_uniform(0.0, 1.0, SHORT_POINTS), out / "short.csv")]
         ),
         "run_preset ex5_2 (21-23-row tables)": (presets.run_preset, [("ex5_2", out)]),
+        "write_mesh_csv (23 points, in memory)": (
+            functools.partial(_write_mesh_to_memory, nufd), [(nufd.build_uniform(0.0, 1.0, SHORT_POINTS),)] * 200
+        ),
+        "write_mesh_csv (300 points, in memory)": (
+            functools.partial(_write_mesh_to_memory, nufd), [(nufd.build_uniform(0.0, 1.0, KERNEL_POINTS),)] * 20
+        ),
     }
 
 

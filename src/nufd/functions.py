@@ -243,6 +243,17 @@ def make_oscillator_solution(kappa: float) -> AnalyticFunction:
 
 
 def sample(f: AnalyticFunction, order: int, mesh: Mesh) -> GridFunction:
-    """Sample the exact ``order``-th derivative of ``f`` at every mesh point."""
+    """Sample the exact ``order``-th derivative of ``f`` at every mesh point.
+
+    A sample that is not finite raises ``ValueError`` naming ``f``, the
+    order and the first mesh point whose sample it is.
+    """
     values = np.asarray(f.evaluate(order, mesh.points), dtype=np.float64)
-    return GridFunction(mesh=mesh, first_index=0, values=values)
+    try:
+        return GridFunction(mesh=mesh, first_index=0, values=values)
+    except ValueError:  # with one sample per point, the one check left to fail: a value that is not finite
+        if values.shape != mesh.points.shape:
+            raise
+        index = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"{f.label}: its order-{order} samples must all be finite, "
+                         f"but the sample at t = {mesh.points[index]:.6g} is not") from None

@@ -14,7 +14,7 @@ import math
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,8 +44,9 @@ FLOAT_FORMAT = ".17g"
 # Fewest trapezoid panels of ``build_equiarclength``'s arclength table.
 ARCLENGTH_PANELS = 10_000
 
-# Rows per write of ``_write_tables``.  At 2048 a block of the ``_cells``
-# kernel's buffers stays near 1 MB, below what the ``%`` path held at 4096.
+# Rows per write of ``_write_tables``.  At 2048 the ``_cells`` kernel's
+# buffers hold about 0.6 MB per distinct column of a block (2.3 MB for four
+# columns); 1,024-row blocks would halve that but cost 7-10% per call.
 _BLOCK_ROWS = 2048
 
 
@@ -252,13 +253,11 @@ _N_EXP = _E_MAX - _E_MIN + 1
 # Bytes of a ``_cells`` slot: sign and "0.000" prefix 6, first digit 1, one
 # unused, the other 16 digits with a point slot 17, exponent 5 ("e-308").
 _CELL = 30
-# The ``%d`` index column of the kernel: up to 16 digits.
-_INDEX = 16
 
 
 @functools.cache
 def _kernel_tables() -> tuple | None:
-    """Tables of ``_cells`` and ``_index_cells``, built on first use.
+    """Tables of ``_cells``, built on first use.
 
     None unless ``np.longdouble`` is the 80-bit format, with its 64-bit
     significand, on a little-endian machine (the words below are laid out
@@ -273,8 +272,7 @@ def _kernel_tables() -> tuple | None:
     first digit, the mask of the integer digits that fixed notation keeps,
     the mask of everything after the point slot, and the point.  ``quads``
     holds the four digits of 0..9999 as uint32 words, plain, then with
-    trailing zeros as NUL (0 is four NULs), then with leading zeros as NUL
-    (0 is "\0\0\00").
+    trailing zeros as NUL (0 is four NULs).
     """
     if np.finfo(np.longdouble).nmant != 63 or sys.byteorder != "little":
         return None
@@ -305,8 +303,7 @@ def _kernel_tables() -> tuple | None:
     digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1).astype(np.uint8) + ord("0")
     zeros = digits == ord("0")
     trailing = np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]
-    leading = np.logical_and.accumulate(zeros, axis=1) & (np.arange(4) < 3)
-    quads = np.concatenate([digits, np.where(trailing, 0, digits), np.where(leading, 0, digits)])
+    quads = np.concatenate([digits, np.where(trailing, 0, digits)])
     return (np.array(floor), power, margin,
             words(sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "") for sign in ("", "-") for e in exponents),
             words("" if -4 <= e < 17 else f"\0e{e:+03d}" for e in exponents),
@@ -374,64 +371,48 @@ def _cells(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _index_cells(start: int, n: int) -> np.ndarray:
-    """``'%d' % k`` for k = start .. start + n - 1 (0 <= k < 10**16), as NUL-padded uint8 rows of 16."""
-    quads = _kernel_tables()[-1]
-    k = np.arange(start, start + n, dtype=np.uint64)
-    high, low = np.divmod(k, np.uint64(10**8))
-    g = np.empty((n, 4), np.uint32)
-    g[:, 0], g[:, 1] = np.divmod(high.astype(np.uint32), 10**4)
-    g[:, 2], g[:, 3] = np.divmod(low.astype(np.uint32), 10**4)
-    # Groups before the first nonzero one are NUL; that one drops its leading zeros.
-    empty = k[:, None] < np.array([10**12, 10**8, 10**4, 0], dtype=np.uint64)
-    leading = k[:, None] < np.array([10**16, 10**12, 10**8, 10**4], dtype=np.uint64)
-    g += np.where(empty, np.uint32(10**4), np.where(leading, np.uint32(2 * 10**4), np.uint32(0)))
-    return np.take(quads, g).view(np.uint8)
+def _write_kernel_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int) -> None:
+    """Write each block of every table, its cells formatted by one ``_cells`` call.
 
-
-def _write_kernel_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int, first_index: int) -> None:
-    """Write each block of every indexed table, its floats formatted by ``_cells``.
-
-    A table's block is laid out in one uint8 matrix over a bytearray, each
-    cell in a fixed slot followed by its separator, and the bytearray's NULs
-    are dropped.  A column's cells are formatted at its first slot in the
-    block and kept for its other slots.
+    The block's distinct columns are copied into one float64 stack and
+    formatted together.  A table's block is laid out in one uint8 matrix over
+    a bytearray, each cell in a fixed slot followed by its separator, and the
+    bytearray's NULs are dropped.
     """
+    unique = {id(c): c for columns in tables_columns for c in columns}
+    number = {key: i for i, key in enumerate(unique)}
+    slots = [[number[id(c)] for c in columns] for columns in tables_columns]
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
-        index = _index_cells(first_index + lo, rows)
-        cells = {}
-        for fh, columns in zip(files, tables_columns):
-            buffer = bytearray(rows * (_INDEX + 1 + (_CELL + 1) * len(columns)))
-            m = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
-            m[:, :_INDEX] = index
-            m[:, _INDEX :: _CELL + 1] = ord(",")
-            m[:, -1] = ord("\n")
-            for j, c in enumerate(columns):
-                got = cells.get(id(c))
-                if got is None:
-                    got = cells[id(c)] = _cells(np.asarray(c[lo : lo + rows], dtype=np.float64))
-                at = _INDEX + 1 + j * (_CELL + 1)
-                m[:, at : at + _CELL] = got[:, :_CELL]
+        stack = np.empty((len(unique), rows))
+        for row, c in zip(stack, unique.values()):
+            row[:] = c[lo : lo + rows]
+        cells = _cells(stack.ravel()).reshape(len(unique), rows, -1)
+        for fh, picks in zip(files, slots):
+            buffer = bytearray(rows * len(picks) * (_CELL + 1))
+            m = np.frombuffer(buffer, np.uint8).reshape(rows, len(picks), _CELL + 1)
+            for j, k in enumerate(picks):
+                m[:, j, :_CELL] = cells[k, :, :_CELL]
+            m[:, :, _CELL] = ord(",")
+            m[:, -1, _CELL] = ord("\n")
             fh.write(buffer.translate(None, b"\0").decode("ascii"))
 
 
-def _write_percent_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int,
-                          first_index: int | None) -> None:
-    """Write each block of every table through ``%`` row templates of ``%s`` cells.
+def _write_percent_blocks(files: Sequence, tables_columns: Sequence[Sequence], n: int) -> None:
+    """Write each block of every table, its cells formatted by Python and joined.
 
     Each cell is ``float.__format__(v, FLOAT_FORMAT)``: the bytes of
-    ``'%.17g' % v``, and faster than it.
+    ``'%.17g' % v``, and faster than it.  A row's cells are joined by
+    commas and its block's rows by newlines, which costs about half what
+    filling a ``%s`` row template does.
     """
     unique = {id(c): c for columns in tables_columns for c in columns}
-    rows = ["%d," * (first_index is not None) + ",".join(["%s"] * len(columns)) + "\n" for columns in tables_columns]
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         cells = {key: list(map(float.__format__, np.asarray(c[lo:hi], dtype=np.float64).tolist(), repeat(FLOAT_FORMAT)))
                  for key, c in unique.items()}
-        index = [] if first_index is None else [range(first_index + lo, first_index + hi)]
-        for fh, row, columns in zip(files, rows, tables_columns):
-            fh.write(row * (hi - lo) % tuple(chain.from_iterable(zip(*index, *(cells[id(c)] for c in columns)))))
+        for fh, columns in zip(files, tables_columns):
+            fh.write("\n".join(map(",".join, zip(*(cells[id(c)] for c in columns)))) + "\n")
 
 
 def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) -> None:
@@ -439,27 +420,36 @@ def _write_tables(tables: Sequence[tuple], *, first_index: int | None = None) ->
 
     Each table is ``(target, header, columns, footer)``: ``header``, one row
     per entry of the float ``columns``, then the ``footer`` lines.  Every
-    float is written with ``FLOAT_FORMAT``.  With ``first_index`` each row
-    starts with its index, counting up from it.  Rows are formatted and
+    cell is written with ``FLOAT_FORMAT``.  With ``first_index`` each row
+    starts with its index, counting up from it: one float64 column listed
+    first in every table, whose cells ``FLOAT_FORMAT`` writes as ``%d``
+    would.  Float64 holds those indices exactly only below 2**53, so an
+    index past 2**53 - 1 raises ``ValueError``.  Rows are formatted and
     written ``_BLOCK_ROWS`` at a time, so no whole-file text is ever built.
     Each distinct column object is formatted once per block, and its cells
-    serve every table that lists it.  Indexed tables of ``_KERNEL_ROWS`` or
-    more rows take the ``_cells`` kernel, which writes the same bytes as
-    ``%``; every other table takes ``%``.
+    serve every table that lists it.  Tables of ``_KERNEL_ROWS`` or more
+    rows take the ``_cells`` kernel, one call per block for all its
+    distinct columns, which writes the same bytes as ``%``; shorter tables
+    take ``%``.
     """
     targets, headers, tables_columns, footers = zip(*tables)
     every = [c for columns in tables_columns for c in columns]
     n = len(every[0])
     if any(len(c) != n for c in every):
         raise ValueError(f"every column of tables written together needs {n} rows")
-    kernel = (n >= _KERNEL_ROWS and _kernel_tables() is not None
-              and first_index is not None and 0 <= first_index <= 10**_INDEX - n)
+    if first_index is not None:
+        if first_index + n > 2**53:
+            raise ValueError(f"row indices {first_index}..{first_index + n - 1} reach 2**53; "
+                             "float64 holds every index exactly only below it")
+        index = np.arange(first_index, first_index + n, dtype=np.float64)
+        tables_columns = [(index, *columns) for columns in tables_columns]
+    kernel = n >= _KERNEL_ROWS and _kernel_tables() is not None
     with ExitStack() as stack:
         files = [stack.enter_context(open(t, "w", newline="")) if isinstance(t, (str, Path)) else t
                  for t in targets]
         for fh, header in zip(files, headers):
             fh.write(header + "\n")
-        (_write_kernel_blocks if kernel else _write_percent_blocks)(files, tables_columns, n, first_index)
+        (_write_kernel_blocks if kernel else _write_percent_blocks)(files, tables_columns, n)
         for fh, footer in zip(files, footers):
             fh.writelines(line + "\n" for line in footer)
 

@@ -190,6 +190,15 @@ class TestSample:
         g = sample(f, 0, m)
         np.testing.assert_array_equal(g.values, -np.sin(4 * math.pi * m.points))
 
+    def test_samples_that_are_not_finite_name_the_function_the_order_and_the_point(self):
+        # 1e10 * 1e300 overflows, so sin is nan from the first point on.
+        f = make_sinusoid(amplitude=1.0, frequency=1e10)
+        with pytest.raises(ValueError) as caught, np.errstate(over="ignore", invalid="ignore"):
+            sample(f, 0, build_uniform(1e300, 2e300, 5))
+        message = str(caught.value)
+        assert message.startswith(f"{f.label}: its order-0 samples must all be finite")
+        assert "t = 1e+300 " in message
+
 
 class TestDerivativeTableConsistency:
     # the table is internally consistent: a tight central difference of

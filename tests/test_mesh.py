@@ -23,7 +23,7 @@ from nufd import (
     write_mesh_csv,
 )
 import nufd.mesh
-from nufd.mesh import _BLOCK_ROWS, _KERNEL_ROWS, _cells, _index_cells, _kernel_tables, _write_tables
+from nufd.mesh import _BLOCK_ROWS, _KERNEL_ROWS, _cells, _kernel_tables, _write_tables
 
 from helpers import EPS, random_mesh, read_mesh_points, reference_columns_csv
 
@@ -483,8 +483,15 @@ class TestWriteTables:
         pool = [*floats, tuple(rng.permutation(np.concatenate((floats[0], special))[:rows]).tolist())]
         tables = [[pool[i % len(pool)] for i in p] for p in picks]
         bufs = [io.StringIO() for _ in tables]
-        _write_tables([(buf, header, columns, footer)
-                       for buf, header, columns in zip(bufs, headers, tables)], first_index=first_index)
+        write = functools.partial(_write_tables, [(buf, header, columns, footer)
+                                                  for buf, header, columns in zip(bufs, headers, tables)],
+                                  first_index=first_index)
+        # The index is a float64 column, exact only below 2**53.
+        if first_index is not None and first_index + rows > 2**53:
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                write()
+            return
+        write()
         for buf, header, columns in zip(bufs, headers, tables):
             want = reference_columns_csv(header, columns, first_index, footer)
             assert buf.getvalue().split("\n") == want.split("\n")
@@ -598,24 +605,53 @@ class TestCellKernel:
             assert err == 0 if 0 <= k <= 27 else 0 < err <= Fraction(1, 2**64)
             assert margin[e + 324] == (2.0**-63 if err == 0 else 2.0**-62)
 
-    @given(st.integers(0, 10**16 - 300) | st.sampled_from([0, 9_990, 99_999_990, 10**12 - 5, 2**53 - 7]),
-           st.integers(1, 300))
+    @given(st.data(), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
-    def test_index_cells_match_percent_d(self, start, n):
-        got = [row.tobytes().replace(b"\0", b"").decode() for row in _index_cells(start, n)]
-        assert got == ["%d" % k for k in range(start, start + n)]
+    def test_index_cells_match_percent_d(self, data, n):
+        # The index column is float64, written by the same kernel as every other cell.
+        start = data.draw(st.integers(0, 2**53 - n)
+                          | st.sampled_from([0, 9_990, 99_999_990, 10**12 - 5, 2**53 - n]))
+        assert _kernel_text(np.arange(start, start + n, dtype=np.float64)) == ["%d" % k for k in range(start, start + n)]
+
+    def test_each_block_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return _cells(x)
+
+        monkeypatch.setattr(nufd.mesh, "_cells", counted)
+        rows = 2 * _BLOCK_ROWS + 3
+        t, a, b = np.random.default_rng(6).standard_normal((3, rows))
+        bufs = [io.StringIO(), io.StringIO()]
+        _write_tables([(bufs[0], "k,t,a", (t, a), ()), (bufs[1], "k,t,b,a", (t, b, a), ())], first_index=7)
+        # Three blocks, each formatting the index, t, a and b once.
+        assert calls == [4 * _BLOCK_ROWS, 4 * _BLOCK_ROWS, 4 * 3]
+        assert bufs[1].getvalue() == reference_columns_csv("k,t,b,a", (t, b, a), 7)
 
     def test_short_tables_keep_percent(self, monkeypatch):
         def refuse(x):
-            raise AssertionError("a short or unindexed table reached the kernel")
+            raise AssertionError("a short table reached the kernel")
 
         monkeypatch.setattr(nufd.mesh, "_cells", refuse)
+        x = np.random.default_rng(2).standard_normal(_KERNEL_ROWS - 1)
+        buf = io.StringIO()
+        _write_tables([(buf, "k,x", (x,), ())], first_index=0)
+        assert buf.getvalue() == reference_columns_csv("k,x", (x,), 0)
+
+    def test_unindexed_tables_take_the_kernel(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return _cells(x)
+
+        monkeypatch.setattr(nufd.mesh, "_cells", counted)
         x = np.random.default_rng(2).standard_normal(_KERNEL_ROWS)
-        # One row short of the kernel with an index, and long enough for it without one.
-        for rows, header, first_index in ((_KERNEL_ROWS - 1, "k,x", 0), (_KERNEL_ROWS, "x", None)):
-            buf = io.StringIO()
-            _write_tables([(buf, header, (x[:rows],), ())], first_index=first_index)
-            assert buf.getvalue() == reference_columns_csv(header, (x[:rows],), first_index)
+        buf = io.StringIO()
+        _write_tables([(buf, "x", (x,), ())])
+        assert calls == [_KERNEL_ROWS]
+        assert buf.getvalue() == reference_columns_csv("x", (x,), None)
 
     def test_without_an_80_bit_long_double_every_table_takes_percent(self, monkeypatch):
         x = np.array(_kernel_edge_values())
