@@ -52,6 +52,27 @@ class TestParseNumber:
         assert parse_number("1e400") == math.inf  # a float literal's own overflow stays inf
 
 
+# Each malformed function spec with its exact message; where a spec has
+# several faults, the one reported is the first in the order name,
+# key=value, number, unknown parameter, missing parameter.
+_MALFORMED_FUNCTIONS = {
+    "wavelet:a=1": "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid",
+    "wavelet:a": "unknown function 'wavelet' in 'wavelet:a' (column 1); known: oscillator, poly, sinusoid",
+    "sinusoid:amplitude": "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)",
+    "sinusoid:wavelength=2,amplitude":
+        "expected key=value but got 'amplitude' in 'sinusoid:wavelength=2,amplitude' (column 23)",
+    "sinusoid:amplitude=x": "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)",
+    "sinusoid:amplitude=1,frequency=x,wavelength=2":
+        "could not parse number 'x' in 'sinusoid:amplitude=1,frequency=x,wavelength=2' (column 32)",
+    "oscillator:kappa=4pi^2,x=1":
+        "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
+        "allowed: ['kappa']",
+    "oscillator:x=1":
+        "bad parameters in 'oscillator:x=1': unknown parameter(s) ['x'] for 'oscillator'; allowed: ['kappa']",
+    "poly:c7=1,q3=1": "bad parameters in 'poly:c7=1,q3=1': polynomial power 7 above the supported degree 5",
+}
+
+
 class TestParseFunctionSpec:
     def test_sinusoid(self):
         f = parse_function_spec("sinusoid:amplitude=-1,frequency=4pi")
@@ -94,6 +115,57 @@ class TestParseFunctionSpec:
             parse_function_spec(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("bad", list(_MALFORMED_FUNCTIONS))
+    def test_rejects_malformed(self, bad):
+        with pytest.raises(SpecError) as info:
+            parse_function_spec(bad)
+        assert str(info.value) == _MALFORMED_FUNCTIONS[bad]
+
+
+# Each malformed mesh spec with its exact message.  Where a spec has several
+# faults, the one reported is the first in the order kind, equiarc split,
+# arity, numbers left to right, the integer, the curve, +insert, the point
+# cap and last the mesh builder.
+_MALFORMED_MESHES = {
+    "uniform:0,1": "'uniform' expects 3 comma-separated values, got 2 in 'uniform:0,1'",
+    "uniform:1,0,5": "invalid mesh spec 'uniform:1,0,5': interval endpoints must satisfy b > a, got a=1.0, b=0.0",
+    "uniform:0,1,5.5": "n_points must be an integer in 'uniform:0,1,5.5', got 5.5",
+    "geometric:0,0.1,2": "'geometric' expects 4 comma-separated values, got 3 in 'geometric:0,0.1,2'",
+    "spline:0,1,5": "unknown mesh kind 'spline' in 'spline:0,1,5' (column 1); known: uniform, geometric, equiarc",
+    "uniform:0,1,5+insert:1.2":
+        "invalid mesh spec 'uniform:0,1,5+insert:1.2': beta must lie strictly inside (0, 1), got 1.2",
+    "uniform:0,1,5+insert:": "could not parse number '' in 'uniform:0,1,5+insert:' (column 22)",
+    "equiarc:poly:c1=1,0,1":
+        "'equiarc' expects curve,a,b,n_points but got 'poly:c1=1,0,1' in 'equiarc:poly:c1=1,0,1'",
+    "geometric:0,0.1,1.1,2.5": "m must be an integer in 'geometric:0,0.1,1.1,2.5', got 2.5",
+    "uniform:0,1,1e400": "n_points must be an integer in 'uniform:0,1,1e400', got inf",
+    "uniform:0,1,10000001": "mesh spec 'uniform:0,1,10000001' asks for 10000001 points; the limit is 10000000",
+    "uniform:0,1,5000001+insert:0.5":
+        "mesh spec 'uniform:0,1,5000001+insert:0.5' asks for 10000001 points; the limit is 10000000",
+    "uniform:0,1/0,5": "division by zero in 'uniform:0,1/0,5' (column 13)",
+    "uniform:0,x,5": "could not parse number 'x' in 'uniform:0,x,5' (column 11)",
+    # Several faults: the first in the order above is reported.
+    "spline:0,1": "unknown mesh kind 'spline' in 'spline:0,1' (column 1); known: uniform, geometric, equiarc",
+    "equiarc:wavelet:a=1,0,x":
+        "'equiarc' expects curve,a,b,n_points but got 'wavelet:a=1,0,x' in 'equiarc:wavelet:a=1,0,x'",
+    "uniform:x,1": "'uniform' expects 3 comma-separated values, got 2 in 'uniform:x,1'",
+    "geometric:0,0.1,2.5+insert:x":
+        "'geometric' expects 4 comma-separated values, got 3 in 'geometric:0,0.1,2.5+insert:x'",
+    "uniform:x,y,5.5": "could not parse number 'x' in 'uniform:x,y,5.5' (column 9)",
+    "uniform:0,1,x+insert:2": "could not parse number 'x' in 'uniform:0,1,x+insert:2' (column 13)",
+    "equiarc:wavelet:a=1,x,1,12": "could not parse number 'x' in 'equiarc:wavelet:a=1,x,1,12' (column 21)",
+    "uniform:0,1,5.5+insert:2": "n_points must be an integer in 'uniform:0,1,5.5+insert:2', got 5.5",
+    "equiarc:wavelet:a=1,0,1,12.5": "n_points must be an integer in 'equiarc:wavelet:a=1,0,1,12.5', got 12.5",
+    "equiarc:wavelet:a=1,0,1,12+insert:x":
+        "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid",
+    "equiarc:wavelet:a=1,0,1,20000000":
+        "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid",
+    "uniform:0,1,20000000+insert:x": "could not parse number 'x' in 'uniform:0,1,20000000+insert:x' (column 29)",
+    "uniform:1,0,20000000": "mesh spec 'uniform:1,0,20000000' asks for 20000000 points; the limit is 10000000",
+    "uniform:1,0,5+insert:2":
+        "invalid mesh spec 'uniform:1,0,5+insert:2': interval endpoints must satisfy b > a, got a=1.0, b=0.0",
+}
+
 
 class TestParseMeshSpec:
     def test_uniform(self):
@@ -116,22 +188,11 @@ class TestParseMeshSpec:
         nonuni = parse_mesh_spec("uniform:0,1,3+insert:0.7")
         np.testing.assert_allclose(nonuni.points, [0, 0.35, 0.5, 0.85, 1.0], atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "uniform:0,1",
-            "uniform:1,0,5",
-            "uniform:0,1,5.5",
-            "geometric:0,0.1,2",
-            "spline:0,1,5",
-            "uniform:0,1,5+insert:1.2",
-            "uniform:0,1,5+insert:",
-            "equiarc:poly:c1=1,0,1",
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(_MALFORMED_MESHES))
     def test_rejects_malformed(self, bad):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as info:
             parse_mesh_spec(bad)
+        assert str(info.value) == _MALFORMED_MESHES[bad]
 
 
 class TestMeshSizeCap:
