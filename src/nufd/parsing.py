@@ -1,5 +1,10 @@
 """Compact spec-string parsers shared by the command line, presets and tests.
 
+Two tables below are the grammar's source: ``_FUNCTIONS`` names each function
+with its factory and its parameters' defaults, and ``_MESH_KINDS`` names each
+mesh kind with its arguments and builder.  Each parser walks its table on one
+path, and ``_OPERATORS`` does the same for the operators' printed names.
+
 Grammar sketch:
 
     number    := term {"/" term}            e.g. 0.5, -1, 50/59, 4pi, pi^2
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable
 
 from . import mesh as meshmod
 from .diffops import ALL_SECOND_SPECS, D2_CORRECTED, FirstDiffKind, Operator
@@ -94,23 +98,6 @@ def _parse_params(text: str, context: str, offset: int) -> dict[str, float]:
     return params
 
 
-def _reject_unknown(kind: str, params: dict, allowed: set[str]) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {sorted(unknown)} for '{kind}'; allowed: {sorted(allowed)}"
-        )
-
-
-def _sinusoid_factory(**params: float) -> AnalyticFunction:
-    _reject_unknown("sinusoid", params, {"amplitude", "frequency", "phase"})
-    return make_sinusoid(
-        amplitude=params.get("amplitude", 1.0),
-        frequency=params.get("frequency", 1.0),
-        phase=params.get("phase", 0.0),
-    )
-
-
 def _poly_factory(**params: float) -> AnalyticFunction:
     coefs = [0.0] * (MAX_DERIVATIVE_ORDER + 1)
     top = -1
@@ -125,18 +112,14 @@ def _poly_factory(**params: float) -> AnalyticFunction:
     return make_polynomial(coefs[: top + 1] if top >= 0 else [0.0])
 
 
-def _oscillator_factory(**params: float) -> AnalyticFunction:
-    _reject_unknown("oscillator", params, {"kappa"})
-    if "kappa" not in params:
-        raise ValueError("'oscillator' needs the parameter kappa")
-    return make_oscillator_solution(params["kappa"])
-
-
-# The function names a spec may use, each with the factory that reads its parameters.
-_FACTORIES: dict[str, Callable[..., AnalyticFunction]] = {
-    "sinusoid": _sinusoid_factory,
-    "poly": _poly_factory,
-    "oscillator": _oscillator_factory,
+# The function names a spec may use: each one's factory, named here and
+# looked up in this module when called (so a wrapper put on that name
+# reaches the call), and its parameters with their defaults, None marking a
+# required one.  ``poly`` reads its parameters c0..c5 itself.
+_FUNCTIONS: dict[str, tuple[str, dict[str, float | None] | None]] = {
+    "sinusoid": ("make_sinusoid", {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
+    "poly": ("_poly_factory", None),
+    "oscillator": ("make_oscillator_solution", {"kappa": None}),
 }
 
 
@@ -144,16 +127,37 @@ def parse_function_spec(text: str) -> AnalyticFunction:
     """Build an analytic function from ``name:key=value,...``."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in _FACTORIES:
+    if name not in _FUNCTIONS:
         raise SpecError(
             f"unknown function {name!r} in {text!r} (column 1); "
-            f"known: {', '.join(sorted(_FACTORIES))}"
+            f"known: {', '.join(sorted(_FUNCTIONS))}"
         )
+    factory, defaults = _FUNCTIONS[name]
     params = _parse_params(rest, text, len(name) + 1) if rest else {}
     try:
-        return _FACTORIES[name](**params)
+        if defaults is not None:
+            unknown = params.keys() - defaults
+            if unknown:
+                raise ValueError(
+                    f"unknown parameter(s) {sorted(unknown)} for '{name}'; allowed: {sorted(defaults)}"
+                )
+            for key, default in defaults.items():
+                if default is None and key not in params:
+                    raise ValueError(f"'{name}' needs the parameter {key}")
+            params = {**defaults, **params}
+        return globals()[factory](**params)
     except ValueError as exc:
         raise SpecError(f"bad parameters in {text!r}: {exc}") from exc
+
+
+# The mesh kinds a spec may use: each one's arguments in order (a curve
+# first, the integer last), the name of its ``nufd.mesh`` builder, looked up
+# when called, and the points the mesh has beyond that integer.
+_MESH_KINDS = {
+    "uniform": (("a", "b", "n_points"), "build_uniform", 0),
+    "geometric": (("t0", "h0", "r", "m"), "build_geometric", 2),
+    "equiarc": (("curve", "a", "b", "n_points"), "build_equiarclength", 0),
+}
 
 
 def parse_mesh_spec(text: str) -> Mesh:
@@ -166,65 +170,41 @@ def parse_mesh_spec(text: str) -> Mesh:
     body = body.strip()
     kind, _, rest = body.partition(":")
     kind = kind.strip()
-    arg_offset = len(kind) + 1
-
-    def numbers(raw: str, expected: int, pos: int = arg_offset) -> list[float]:
-        parts = raw.split(",")
-        if len(parts) != expected:
-            raise SpecError(
-                f"{kind!r} expects {expected} comma-separated values, got {len(parts)} "
-                f"in {text!r}"
-            )
-        out = []
-        for p in parts:
-            out.append(parse_number(p, text, pos))
-            pos += len(p) + 1
-        return out
-
+    if kind not in _MESH_KINDS:
+        raise SpecError(
+            f"unknown mesh kind {kind!r} in {text!r} (column 1); known: {', '.join(_MESH_KINDS)}"
+        )
+    names, builder, extra = _MESH_KINDS[kind]
+    curve = names[0] == "curve"
+    # A curve may hold commas of its own, so an equiarc spec's numbers are split off from the right.
+    parts = rest.rsplit(",", len(names) - 1) if curve else rest.split(",")
+    if len(parts) != len(names):
+        raise SpecError(
+            f"{kind!r} expects {','.join(names)} but got {rest!r} in {text!r}" if curve else
+            f"{kind!r} expects {len(names)} comma-separated values, got {len(parts)} in {text!r}"
+        )
+    args: list = []
+    pos = len(kind) + 1
+    for name, part in zip(names, parts):
+        if name != "curve":
+            args.append(parse_number(part, text, pos))
+        pos += len(part) + 1
+    count = args[-1]
+    if not math.isfinite(count) or count != int(count):
+        raise SpecError(f"{names[-1]} must be an integer in {text!r}, got {count!r}")
+    args[-1] = int(count)
+    if curve:
+        args.insert(0, parse_function_spec(parts[0]))
+    beta = parse_number(suffix, text, len(body) + len(insert)) if insert else None
+    n_points = args[-1] + extra
+    total = n_points if beta is None else 2 * n_points - 1
+    if total > MAX_SPEC_POINTS:
+        raise SpecError(f"mesh spec {text!r} asks for {total} points; the limit is {MAX_SPEC_POINTS}")
     try:
-        if kind == "uniform":
-            a, b, n = numbers(rest, 3)
-            n_points = _as_int(n, "n_points", text)
-            build, args = meshmod.build_uniform, (a, b, n_points)
-        elif kind == "geometric":
-            t0, h0, r, m = numbers(rest, 4)
-            m = _as_int(m, "m", text)
-            n_points = m + 2
-            build, args = meshmod.build_geometric, (t0, h0, r, m)
-        elif kind == "equiarc":
-            curve_raw, rem = _split_equiarc(rest, text)
-            a, b, n = numbers(rem, 3, arg_offset + len(curve_raw) + 1)
-            n_points = _as_int(n, "n_points", text)
-            build = meshmod.build_equiarclength
-            args = (parse_function_spec(curve_raw), a, b, n_points)
-        else:
-            raise SpecError(
-                f"unknown mesh kind {kind!r} in {text!r} (column 1); "
-                "known: uniform, geometric, equiarc"
-            )
-        beta = parse_number(suffix, text, len(body) + len(insert)) if insert else None
-        total = n_points if beta is None else 2 * n_points - 1
-        if total > MAX_SPEC_POINTS:
-            raise SpecError(f"mesh spec {text!r} asks for {total} points; the limit is {MAX_SPEC_POINTS}")
-        built = build(*args)
+        built = getattr(meshmod, builder)(*args)
         return built if beta is None else meshmod.refine_insert(built, beta)
     except meshmod.MeshError as exc:
         raise SpecError(f"invalid mesh spec {text!r}: {exc}") from exc
-
-
-def _split_equiarc(rest: str, context: str) -> tuple[str, str]:
-    parts = rest.rsplit(",", 3)
-    if len(parts) != 4:
-        raise SpecError(
-            f"'equiarc' expects curve,a,b,n_points but got {rest!r} in {context!r}"
-        )
-    return parts[0], ",".join(parts[1:])
-
-
-def _as_int(value: float, name: str, context: str) -> int:
-    if not math.isfinite(value) or value != int(value):
-        raise SpecError(f"{name} must be an integer in {context!r}, got {value!r}")
-    return int(value)
 
 
 # Every operator under its printed name; a pair is named "<outer> <inner>".
