@@ -93,7 +93,10 @@ def _parse_params(text: str, context: str, offset: int) -> dict[str, float]:
                 f"expected key=value but got {item!r} in {context!r} (column {pos + 1})"
             )
         key, raw = item.split("=", 1)
-        params[key.strip()] = parse_number(raw, context, pos + len(key) + 1)
+        name = key.strip()
+        if name in params:
+            raise SpecError(f"repeated parameter {name!r} in {context!r} (column {pos + 1})")
+        params[name] = parse_number(raw, context, pos + len(key) + 1)
         pos += len(item) + 1
     return params
 

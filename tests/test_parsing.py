@@ -115,6 +115,20 @@ class TestParseFunctionSpec:
             parse_function_spec(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("sinusoid:amplitude=1,amplitude=2",
+             "repeated parameter 'amplitude' in 'sinusoid:amplitude=1,amplitude=2' (column 22)"),
+            ("poly:c1=1,c1=3", "repeated parameter 'c1' in 'poly:c1=1,c1=3' (column 11)"),
+            ("oscillator:kappa=1,kappa=x", "repeated parameter 'kappa' in 'oscillator:kappa=1,kappa=x' (column 20)"),
+        ],
+    )
+    def test_a_repeated_parameter_is_named(self, text, message):
+        with pytest.raises(SpecError) as info:
+            parse_function_spec(text)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", list(_MALFORMED_FUNCTIONS))
     def test_rejects_malformed(self, bad):
         with pytest.raises(SpecError) as info:
