@@ -19,6 +19,17 @@ def random_mesh(rng: np.random.Generator, n_steps: int, lo: float = 0.5, hi: flo
     return Mesh(np.concatenate(([start], start + np.cumsum(steps))))
 
 
+def mesh_from_quadruple(steps) -> Mesh:
+    """Five-point mesh with the given steps, centred so index 2 sits at 0."""
+    h0, h1, h2, h3 = steps
+    return Mesh(np.array([-(h0 + h1), -h1, 0.0, h2, h2 + h3]))
+
+
+def float_bits(x) -> bytes:
+    """The eight bytes of ``x`` as a float64, so that equal means bit for bit (0.0 and -0.0 differ)."""
+    return np.float64(x).tobytes()
+
+
 def exact_uniform_mesh(rng: np.random.Generator | None, n_points: int) -> Mesh:
     """Uniform mesh whose steps are all the same float, bit for bit.
 

@@ -49,7 +49,7 @@ from nufd.presets import (
     section5_uniform_mesh,
 )
 
-from helpers import EPS, exact_uniform_mesh, jittered_family, random_mesh, stencil_scale
+from helpers import EPS, exact_uniform_mesh, jittered_family, mesh_from_quadruple, random_mesh, stencil_scale
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 
@@ -227,11 +227,6 @@ def test_criterion_6_nonuniform_mesh_degradation(uniform23, nonuniform23):
             f"ratios {s1n / s1u:.1f}x, {s2n:.2f}>=1, both composed pairs >2x")
 
 
-def _quadruple_mesh(steps):
-    h0, h1, h2, h3 = steps
-    return __import__("nufd").Mesh(np.array([-(h0 + h1), -h1, 0.0, h2, h2 + h3]))
-
-
 def test_criterion_7_consistency_coefficients():
     start = perf_counter()
     rng = np.random.default_rng(2024)
@@ -241,7 +236,7 @@ def test_criterion_7_consistency_coefficients():
         for _ in range(1000):
             steps = tuple(rng.uniform(0.5, 1.5, 4))
             leading = consistency_coefficient(spec, steps).leading_coefficient
-            mesh = _quadruple_mesh(steps)
+            mesh = mesh_from_quadruple(steps)
             extracted = second_difference(spec, sample(quad_fn, 0, mesh)).value_at(2) / 2
             worst = max(worst, abs(leading - extracted) / abs(extracted))
     failures = []
@@ -419,7 +414,7 @@ def test_criterion_10_error_bound_suite(uniform23, nonuniform23):
     for spec in ALL_SECOND_SPECS:
         for _ in range(100):
             steps = tuple(rng.uniform(0.02, 0.2, 4))
-            mesh = _quadruple_mesh(steps)
+            mesh = mesh_from_quadruple(steps)
             predicted, remainder = expansion_prediction(spec, fn, mesh, 2)
             direct = second_difference(spec, sample(fn, 0, mesh)).value_at(2)
             if abs(direct - predicted) > remainder:

@@ -31,16 +31,10 @@ from nufd import (
 from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport
 from nufd.diffops import stencil, stencil_offsets
 
-from helpers import exact_uniform_mesh, jittered_family, random_mesh, reference_stencil
+from helpers import exact_uniform_mesh, jittered_family, mesh_from_quadruple, random_mesh, reference_stencil
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 SECOND_OPERATORS = [*ALL_SECOND_SPECS, D2_CORRECTED]
-
-
-def mesh_from_quadruple(steps):
-    """Five-point mesh with the given steps, centred so index 2 sits at 0."""
-    h0, h1, h2, h3 = steps
-    return Mesh(np.array([-(h0 + h1), -h1, 0.0, h2, h2 + h3]))
 
 
 def coefficient_from_quadratic(spec, steps):

@@ -22,7 +22,7 @@ from nufd import (
 from nufd.functions import MAX_DERIVATIVE_ORDER, _oscillator_motion
 from nufd.parsing import SpecError, parse_function_spec
 
-from helpers import EPS, oscillator_expression
+from helpers import EPS, float_bits, oscillator_expression
 
 
 class TestSinusoid:
@@ -444,10 +444,6 @@ class TestSupAbs:
             f.sup_abs(0, lo, hi)
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 # moderate arguments, then any float at all: huge, tiny and infinite ones too
 _SCALAR_TS = st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False))
 
@@ -471,7 +467,7 @@ class TestScalarPath:
     def assert_scalar_equals_array(evaluate, t):
         with np.errstate(all="ignore"):
             for order in range(MAX_DERIVATIVE_ORDER + 1):
-                assert _bits(evaluate(order, t)) == _bits(evaluate(order, np.array([t]))[0])
+                assert float_bits(evaluate(order, t)) == float_bits(evaluate(order, np.array([t]))[0])
 
     @given(st.floats(-5.0, 5.0), st.floats(-60.0, 60.0), st.floats(-10.0, 10.0), _SCALAR_TS)
     @settings(max_examples=200, deadline=None)
@@ -508,7 +504,7 @@ class TestScalarPath:
     def test_sinusoid_supremum_keeps_its_min_max_form(self, amplitude, frequency, phase, order, lo, width):
         got = make_sinusoid(amplitude, frequency, phase).sup_abs(order, lo, lo + width)
         want = _reference_sinusoid_supremum(amplitude, frequency, phase, order, lo, lo + width)
-        assert _bits(got) == _bits(want)
+        assert float_bits(got) == float_bits(want)
 
 
 
@@ -570,4 +566,4 @@ class TestArrayPath:
         for order in range(MAX_DERIVATIVE_ORDER + 1):
             got, want = f.evaluate(order, 0.3), oscillator_expression(9.0, 1.0, -1.0, 0.0, order, 0.3)
             assert type(got) is type(want) is np.float64
-            assert _bits(got) == _bits(want)
+            assert float_bits(got) == float_bits(want)

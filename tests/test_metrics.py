@@ -18,7 +18,7 @@ from nufd import (
 )
 from nufd.metrics import _max_abs
 
-from helpers import EPS, random_mesh
+from helpers import EPS, float_bits, random_mesh
 
 
 def _pair(mesh, f_vals, g_vals, first=0):
@@ -115,10 +115,6 @@ class TestScaledLocalDifference:
             scaled_local_difference(f, g)
 
 
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
-
-
 _VALUES = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -138,20 +134,20 @@ class TestMaxAbsBits:
         with np.errstate(all="ignore"):
             series = scaled_local_difference(*_pair(build_uniform(0, 1, len(pairs)), f, g))
             sld = (f - g) / np.max(np.abs(f))
-        assert _bits(series.scale) == _bits(np.max(np.abs(f)))
+        assert float_bits(series.scale) == float_bits(np.max(np.abs(f)))
         assert series.sld.tobytes() == sld.tobytes()
-        assert _bits(series.sgei) == _bits(np.max(np.abs(sld)))
+        assert float_bits(series.sgei) == float_bits(np.max(np.abs(sld)))
         assert type(series.scale) is float and type(series.sgei) is float
 
     def test_sld_of_signed_zeros_has_a_positive_zero_sgei(self):
         f, g = _pair(build_uniform(0, 1, 4), [1.0, -0.0, 2.0, -0.0], [1.0, 0.0, 2.0, 0.0])
         series = scaled_local_difference(f, g)
         assert series.sld.tobytes() == np.array([0.0, -0.0, 0.0, -0.0]).tobytes()
-        assert _bits(series.sgei) == _bits(0.0)
+        assert float_bits(series.sgei) == float_bits(0.0)
 
     @pytest.mark.parametrize("zeros", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0] * 9 + [-0.0]])
     def test_zeros_of_either_sign_give_a_positive_zero(self, zeros):
-        assert _bits(_max_abs(np.array(zeros))) == _bits(0.0)
+        assert float_bits(_max_abs(np.array(zeros))) == float_bits(0.0)
 
 
 class TestScaleEquivariance:
