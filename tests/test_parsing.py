@@ -52,27 +52,6 @@ class TestParseNumber:
         assert parse_number("1e400") == math.inf  # a float literal's own overflow stays inf
 
 
-# Each malformed function spec with its exact message; where a spec has
-# several faults, the one reported is the first in the order name,
-# key=value, number, unknown parameter, missing parameter.
-_MALFORMED_FUNCTIONS = {
-    "wavelet:a=1": "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid",
-    "wavelet:a": "unknown function 'wavelet' in 'wavelet:a' (column 1); known: oscillator, poly, sinusoid",
-    "sinusoid:amplitude": "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)",
-    "sinusoid:wavelength=2,amplitude":
-        "expected key=value but got 'amplitude' in 'sinusoid:wavelength=2,amplitude' (column 23)",
-    "sinusoid:amplitude=x": "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)",
-    "sinusoid:amplitude=1,frequency=x,wavelength=2":
-        "could not parse number 'x' in 'sinusoid:amplitude=1,frequency=x,wavelength=2' (column 32)",
-    "oscillator:kappa=4pi^2,x=1":
-        "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
-        "allowed: ['kappa']",
-    "oscillator:x=1":
-        "bad parameters in 'oscillator:x=1': unknown parameter(s) ['x'] for 'oscillator'; allowed: ['kappa']",
-    "poly:c7=1,q3=1": "bad parameters in 'poly:c7=1,q3=1': polynomial power 7 above the supported degree 5",
-}
-
-
 class TestParseFunctionSpec:
     def test_sinusoid(self):
         f = parse_function_spec("sinusoid:amplitude=-1,frequency=4pi")
@@ -108,32 +87,40 @@ class TestParseFunctionSpec:
             ("poly:q3=1", "bad parameters in 'poly:q3=1': unknown polynomial parameter 'q3'; use c0..c5"),
             ("poly:c7=1", "bad parameters in 'poly:c7=1': polynomial power 7 above the supported degree 5"),
             ("oscillator", "bad parameters in 'oscillator': 'oscillator' needs the parameter kappa"),
+            ("sinusoid:amplitude=1,amplitude=2",
+             "repeated parameter 'amplitude' in 'sinusoid:amplitude=1,amplitude=2' (column 22)"),
+            ("poly:c1=1,c1=3", "repeated parameter 'c1' in 'poly:c1=1,c1=3' (column 11)"),
+            ("oscillator:kappa=1,kappa=x", "repeated parameter 'kappa' in 'oscillator:kappa=1,kappa=x' (column 20)"),
+            ("wavelet:a=1", "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid"),
+            ("sinusoid:amplitude", "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)"),
+            ("sinusoid:amplitude=x", "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)"),
+            (
+                "oscillator:kappa=4pi^2,x=1",
+                "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
+                "allowed: ['kappa']",
+            ),
+            # Several faults: the first in the order name, key=value, number,
+            # unknown parameter, missing parameter is reported.
+            ("wavelet:a", "unknown function 'wavelet' in 'wavelet:a' (column 1); known: oscillator, poly, sinusoid"),
+            (
+                "sinusoid:wavelength=2,amplitude",
+                "expected key=value but got 'amplitude' in 'sinusoid:wavelength=2,amplitude' (column 23)",
+            ),
+            (
+                "sinusoid:amplitude=1,frequency=x,wavelength=2",
+                "could not parse number 'x' in 'sinusoid:amplitude=1,frequency=x,wavelength=2' (column 32)",
+            ),
+            (
+                "oscillator:x=1",
+                "bad parameters in 'oscillator:x=1': unknown parameter(s) ['x'] for 'oscillator'; allowed: ['kappa']",
+            ),
+            ("poly:c7=1,q3=1", "bad parameters in 'poly:c7=1,q3=1': polynomial power 7 above the supported degree 5"),
         ],
     )
     def test_bad_parameter_message(self, text, message):
         with pytest.raises(SpecError) as info:
             parse_function_spec(text)
         assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("sinusoid:amplitude=1,amplitude=2",
-             "repeated parameter 'amplitude' in 'sinusoid:amplitude=1,amplitude=2' (column 22)"),
-            ("poly:c1=1,c1=3", "repeated parameter 'c1' in 'poly:c1=1,c1=3' (column 11)"),
-            ("oscillator:kappa=1,kappa=x", "repeated parameter 'kappa' in 'oscillator:kappa=1,kappa=x' (column 20)"),
-        ],
-    )
-    def test_a_repeated_parameter_is_named(self, text, message):
-        with pytest.raises(SpecError) as info:
-            parse_function_spec(text)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("bad", list(_MALFORMED_FUNCTIONS))
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(SpecError) as info:
-            parse_function_spec(bad)
-        assert str(info.value) == _MALFORMED_FUNCTIONS[bad]
 
 
 # Each malformed mesh spec with its exact message.  Where a spec has several
