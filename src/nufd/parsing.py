@@ -119,7 +119,7 @@ def _poly_factory(**params: float) -> AnalyticFunction:
 # looked up in this module when called (so a wrapper put on that name
 # reaches the call), and its parameters with their defaults, None marking a
 # required one.  ``poly`` reads its parameters c0..c5 itself.
-_FUNCTIONS: dict[str, tuple[str, dict[str, float | None] | None]] = {
+_FUNCTIONS = {
     "sinusoid": ("make_sinusoid", {"amplitude": 1.0, "frequency": 1.0, "phase": 0.0}),
     "poly": ("_poly_factory", None),
     "oscillator": ("make_oscillator_solution", {"kappa": None}),
