@@ -10,23 +10,12 @@ for byte.
 from __future__ import annotations
 
 import functools
-import math
 from pathlib import Path
 
-from . import diffops, ivp
-from .diffops import FirstDiffKind, GridFunction, Operator, SecondDiffSpec
-from .functions import AnalyticFunction, make_sinusoid, sample
-from .mesh import (
-    Mesh,
-    build_equiarclength,
-    build_geometric,
-    build_uniform,
-    refine_insert,
-    smoothness_ratios,
-    write_mesh_csv,
-    FLOAT_FORMAT,
-    _write_tables,
-)
+from . import diffops, ivp, parsing
+from .diffops import GridFunction, Operator
+from .functions import AnalyticFunction, sample
+from .mesh import Mesh, smoothness_ratios, write_mesh_csv, FLOAT_FORMAT, _write_tables
 from .metrics import SldSeries, classify, scaled_local_difference
 
 __all__ = [
@@ -45,33 +34,42 @@ __all__ = [
 ]
 
 DEFAULT_BETA = 0.7
-OSCILLATOR_KAPPA = 4 * math.pi**2
 
-_CENTRAL = FirstDiffKind.CENTRAL
-_DERIVATIVE_PRESETS: dict[str, Operator] = {
-    "ex5_1": _CENTRAL,
-    "ex5_2": SecondDiffSpec(FirstDiffKind.FORWARD, FirstDiffKind.FORWARD),
-    "ex5_3": SecondDiffSpec(_CENTRAL, FirstDiffKind.BACKWARD),
-    "ex5_4": SecondDiffSpec(_CENTRAL, _CENTRAL),
+# Every preset input, written as its command line takes it: the derivative
+# presets' ``--op``, the study function's ``--function``, the meshes'
+# ``--mesh`` (``{beta!r}`` is ``--beta``, ``{b!r}`` the geometric mesh's end)
+# and ``--kappa``.  Each is built through ``parsing`` when used.
+_SPECS = {
+    "ex5_1": "c",
+    "ex5_2": "d+ d+",
+    "ex5_3": "c d-",
+    "ex5_4": "c c",
+    "function": "sinusoid:amplitude=-1,frequency=4pi",
+    "uniform": "uniform:0,1,12+insert:0.5",
+    "nonuniform": "equiarc:sinusoid:frequency=2pi,0,1,12+insert:{beta!r}",
+    "geometric": "geometric:0,0.1,50/59,200",
+    "oscillator_uniform": "uniform:0,{b!r},11",
+    "kappa": "4pi^2",
 }
 
-PRESET_NAMES = tuple(_DERIVATIVE_PRESETS) + ("ex5_5", "fig5_1")
+OSCILLATOR_KAPPA = parsing.parse_number(_SPECS["kappa"])
+PRESET_NAMES = ("ex5_1", "ex5_2", "ex5_3", "ex5_4", "ex5_5", "fig5_1")
+
+
+@functools.cache
+def _mesh(spec: str) -> Mesh:
+    """The mesh of ``spec``, built once per spec: a mesh is immutable."""
+    return parsing.parse_mesh_spec(spec)
 
 
 def section5_function() -> AnalyticFunction:
     """-sin(4*pi*t), the test function of the derivative studies."""
-    return make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
+    return parsing.parse_function_spec(_SPECS["function"])
 
 
 def section5_uniform_mesh() -> Mesh:
     """23 equally spaced points on [0, 1] (12 points plus midpoints)."""
-    return refine_insert(build_uniform(0.0, 1.0, 12), 0.5)
-
-
-@functools.cache
-def _section5_base_mesh() -> Mesh:
-    """The equi-arclength 12-point mesh for sin(2*pi*t), built once: a mesh is immutable."""
-    return build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
+    return _mesh(_SPECS["uniform"])
 
 
 def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
@@ -80,7 +78,7 @@ def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
     ``beta`` > 0.5 places the inserted points closer to their right
     neighbours.
     """
-    return refine_insert(_section5_base_mesh(), beta)
+    return _mesh(_SPECS["nonuniform"].format(beta=float(beta)))
 
 
 def oscillator_meshes() -> tuple[Mesh, Mesh]:
@@ -89,9 +87,8 @@ def oscillator_meshes() -> tuple[Mesh, Mesh]:
     The geometric mesh starts at h0 = 1/10 with ratio 50/59 for 202 points;
     the uniform one covers the same interval in ten equal steps.
     """
-    geometric = build_geometric(0.0, 0.1, 50 / 59, 200)
-    uniform = build_uniform(geometric.a, geometric.b, 11)
-    return geometric, uniform
+    geometric = _mesh(_SPECS["geometric"])
+    return geometric, _mesh(_SPECS["oscillator_uniform"].format(b=geometric.b))
 
 
 def _summary_line(series: SldSeries) -> str:
@@ -209,7 +206,7 @@ def run_preset(name: str, out_dir: Path, beta: float = DEFAULT_BETA) -> dict:
             _write_tables([(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), ())], first_index=0)
             return {"steps": [float(h) for h in mesh.steps], "ratios": [float(r) for r in ratios]}
     else:
-        op = _DERIVATIVE_PRESETS[name]
+        op = parsing.parse_operator(_SPECS[name])
         f = section5_function()
         summary = {
             "preset": name,
