@@ -128,15 +128,15 @@ _FUNCTIONS = {
 
 def parse_function_spec(text: str) -> AnalyticFunction:
     """Build an analytic function from ``name:key=value,...``."""
-    name, _, rest = text.partition(":")
-    name = name.strip()
+    head, _, rest = text.partition(":")
+    name = head.strip()
     if name not in _FUNCTIONS:
         raise SpecError(
             f"unknown function {name!r} in {text!r} (column 1); "
             f"known: {', '.join(sorted(_FUNCTIONS))}"
         )
     factory, defaults = _FUNCTIONS[name]
-    params = _parse_params(rest, text, len(name) + 1) if rest else {}
+    params = _parse_params(rest, text, len(head) + 1) if rest else {}
     try:
         if defaults is not None:
             unknown = params.keys() - defaults
@@ -170,9 +170,8 @@ def parse_mesh_spec(text: str) -> Mesh:
     ``equiarc:curve,a,b,n`` and any of them followed by ``+insert:beta``.
     """
     body, insert, suffix = text.partition("+insert:")
-    body = body.strip()
-    kind, _, rest = body.partition(":")
-    kind = kind.strip()
+    head, _, rest = body.rstrip().partition(":")
+    kind = head.strip()
     if kind not in _MESH_KINDS:
         raise SpecError(
             f"unknown mesh kind {kind!r} in {text!r} (column 1); known: {', '.join(_MESH_KINDS)}"
@@ -187,7 +186,7 @@ def parse_mesh_spec(text: str) -> Mesh:
             f"{kind!r} expects {len(names)} comma-separated values, got {len(parts)} in {text!r}"
         )
     args: list = []
-    pos = len(kind) + 1
+    pos = len(head) + 1
     for name, part in zip(names, parts):
         if name != "curve":
             args.append(parse_number(part, text, pos))

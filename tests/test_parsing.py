@@ -94,6 +94,8 @@ class TestParseFunctionSpec:
             ("wavelet:a=1", "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid"),
             ("sinusoid:amplitude", "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)"),
             ("sinusoid:amplitude=x", "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)"),
+            # Columns count in the text as given, whitespace included.
+            (" sinusoid:amplitude=x", "could not parse number 'x' in ' sinusoid:amplitude=x' (column 21)"),
             (
                 "oscillator:kappa=4pi^2,x=1",
                 "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
@@ -145,6 +147,10 @@ _MALFORMED_MESHES = {
         "mesh spec 'uniform:0,1,5000001+insert:0.5' asks for 10000001 points; the limit is 10000000",
     "uniform:0,1/0,5": "division by zero in 'uniform:0,1/0,5' (column 13)",
     "uniform:0,x,5": "could not parse number 'x' in 'uniform:0,x,5' (column 11)",
+    # Columns count in the text as given, whitespace included.
+    " uniform:0,x,5": "could not parse number 'x' in ' uniform:0,x,5' (column 12)",
+    "uniform :0,x,5": "could not parse number 'x' in 'uniform :0,x,5' (column 12)",
+    " uniform:0,1,5 +insert:x": "could not parse number 'x' in ' uniform:0,1,5 +insert:x' (column 24)",
     # Several faults: the first in the order above is reported.
     "spline:0,1": "unknown mesh kind 'spline' in 'spline:0,1' (column 1); known: uniform, geometric, equiarc",
     "equiarc:wavelet:a=1,0,x":
