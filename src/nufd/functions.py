@@ -119,13 +119,15 @@ def make_sinusoid(amplitude: float, frequency: float, phase: float = 0.0) -> Ana
                 return amplitude * frequency**order * math.sin(frequency * t + phase + order * math.pi / 2)
             except ValueError:  # an infinite argument, where np.sin gives nan
                 pass
-        # A * w**n * sin(w*t + phi + n*pi/2), each operation in place on one copy of t
+        # A * w**n * sin(w*t + phi + n*pi/2), each operation in place on one copy of t;
+        # a sample that is not finite is ``sample``'s named error, not a warning
         x = np.array(t, dtype=np.float64)
-        x *= frequency
-        x += phase
-        x += order * np.pi / 2
-        np.sin(x, out=x)
-        x *= amplitude * frequency**order
+        with np.errstate(over="ignore", invalid="ignore"):
+            x *= frequency
+            x += phase
+            x += order * np.pi / 2
+            np.sin(x, out=x)
+            x *= amplitude * frequency**order
         return x if x.ndim else x[()]
 
     return AnalyticFunction(

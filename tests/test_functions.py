@@ -199,6 +199,12 @@ class TestSample:
         assert message.startswith(f"{f.label}: its order-0 samples must all be finite")
         assert "t = 1e+300 " in message
 
+    @pytest.mark.filterwarnings("error")
+    def test_samples_that_are_not_finite_warn_nothing_before_the_error(self):
+        f = make_sinusoid(amplitude=1.0, frequency=1e10)
+        with pytest.raises(ValueError, match="must all be finite"):
+            sample(f, 0, build_uniform(1e300, 2e300, 5))
+
 
 class TestDerivativeTableConsistency:
     # the table is internally consistent: a tight central difference of
