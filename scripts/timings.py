@@ -29,11 +29,12 @@ five case sets:
   that mesh, of 4,097 uniform points, whose 4,096 rows cross one 2,048-row
   block seam, and of 23 uniform points, whose 22-row table stays on ``%``,
   the path any writer change must time; and ``run_preset("ex5_2")``, whose
-  21- to 23-row tables stay on ``%`` too.  The last two cases write into a
-  new ``io.StringIO`` per call, so no file open and close dilutes the
+  21- to 23-row tables stay on ``%`` too.  The last three cases write into
+  a new ``io.StringIO`` per call, so no file open and close dilutes the
   writer's own time: ``write_mesh_csv`` of 23 uniform points (``%``), a
-  call set of 200 calls, and of 300 uniform points (the ``_cells`` kernel),
-  a call set of 20 calls;
+  call set of 200 calls, of 202 uniform points, the size of the ex5_5 and
+  paper-mesh tables, and of 300 uniform points (both the ``_cells``
+  kernel), call sets of 20 calls;
 - march: ``solve`` with ``d- d+`` and with ``d2``, kappa = 4 pi^2, on
   100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
 - arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
@@ -69,6 +70,7 @@ DIFF_STEPS = 20_000
 CSV_POINTS = 20_000
 SEAM_POINTS = 4_097
 SHORT_POINTS = 23
+PAPER_POINTS = 202
 KERNEL_POINTS = 300
 MARCH_POINTS = 100_000
 ARRAY_POINTS = 1_000_000
@@ -194,6 +196,9 @@ def _csv_cases(nufd, out: Path) -> dict[str, tuple]:
         "run_preset ex5_2 (21-23-row tables)": (presets.run_preset, [("ex5_2", out)]),
         "write_mesh_csv (23 points, in memory)": (
             functools.partial(_write_mesh_to_memory, nufd), [(nufd.build_uniform(0.0, 1.0, SHORT_POINTS),)] * 200
+        ),
+        "write_mesh_csv (202 points, in memory)": (
+            functools.partial(_write_mesh_to_memory, nufd), [(nufd.build_uniform(0.0, 1.0, PAPER_POINTS),)] * 20
         ),
         "write_mesh_csv (300 points, in memory)": (
             functools.partial(_write_mesh_to_memory, nufd), [(nufd.build_uniform(0.0, 1.0, KERNEL_POINTS),)] * 20

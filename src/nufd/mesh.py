@@ -245,8 +245,9 @@ def smoothness_ratios(mesh: Mesh) -> np.ndarray:
 
 
 # Tables of at least this many rows format their floats with the ``_cells``
-# kernel; shorter ones keep ``%``, which costs less on a few rows.
-_KERNEL_ROWS = 256
+# kernel; shorter ones keep ``%``, which costs less on a few rows.  The two
+# cross at about 130-140 rows (``write_mesh_csv`` into memory, x86-64).
+_KERNEL_ROWS = 144
 # Decimal exponents of nonzero finite doubles: 5e-324 to 1.8e308.
 _E_MIN, _E_MAX = -324, 308
 _N_EXP = _E_MAX - _E_MIN + 1
