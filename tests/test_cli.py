@@ -6,11 +6,16 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nufd import (
     FirstDiffKind,
+    MeshError,
     SecondDiffSpec,
     apply_operator,
+    build_equiarclength,
+    build_geometric,
     build_uniform,
     make_sinusoid,
     presets,
@@ -22,7 +27,7 @@ from nufd.cli import _emit, main
 from nufd.diffops import derivative_order
 from nufd.mesh import _BLOCK_ROWS
 
-from helpers import read_mesh_points, reference_columns_csv
+from helpers import float_bits, read_mesh_points, reference_columns_csv
 
 
 @pytest.fixture
@@ -476,3 +481,81 @@ class TestPresets:
         with pytest.raises(ValueError) as raised:
             presets.run_preset("nope", tmp_path)
         assert all(name in str(raised.value) for name in presets.PRESET_NAMES)
+
+    @pytest.mark.parametrize("beta", ["0.7", "0.3"])
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_each_preset_is_its_command_lines(self, runner, tmp_path, name, beta):
+        preset = tmp_path / "preset"
+        assert run(runner, "--out", preset, "--beta", beta, "preset", name).exit_code == 0
+        for variant, args, files in preset_commands(name, beta):
+            out = tmp_path / variant
+            result = run(runner, "--out", out, *args)
+            assert result.exit_code == 0, result.output
+            for preset_file, command_file in files.items():
+                assert (preset / preset_file).read_bytes() == (out / command_file).read_bytes(), preset_file
+        if name == "ex5_5":
+            b = json.loads((preset / "ex5_5_summary.json").read_text())["b"]
+            assert f"uniform:0,{b!r},11" == PRESET_MESHES["ex5_5"]["uniform"]
+
+
+# The command lines of each preset, as the README lists them: each variant's
+# mesh spec, and the function and operator of the derivative presets.
+# ``{beta}`` is the preset's --beta.
+PRESET_MESHES = {
+    "ex5_5": {"geometric": "geometric:0,0.1,50/59,200", "uniform": "uniform:0,0.6555555555555527,11"},
+    "section5": {"uniform": "uniform:0,1,12+insert:0.5",
+                 "nonuniform": "equiarc:sinusoid:frequency=2pi,0,1,12+insert:{beta}"},
+}
+PRESET_OPERATORS = {"ex5_1": "c", "ex5_2": "d+ d+", "ex5_3": "c d-", "ex5_4": "c c"}
+STUDY_FUNCTION = "sinusoid:amplitude=-1,frequency=4pi"
+
+
+def preset_commands(name: str, beta: str) -> list[tuple[str, list[str], dict[str, str]]]:
+    """(variant, command line, {the preset's file: the command's file}) for each run of preset ``name``."""
+    if name == "ex5_5":
+        return [(variant, ["oscillator", "--kappa", "4pi^2", "--mesh", spec], {f"ex5_5_{variant}.csv": "oscillator.csv"})
+                for variant, spec in PRESET_MESHES["ex5_5"].items()]
+    meshes = [(variant, spec.format(beta=beta)) for variant, spec in PRESET_MESHES["section5"].items()]
+    if name == "fig5_1":
+        return [(variant, ["mesh", spec], {f"fig5_1_{variant}_mesh.csv": "mesh.csv"}) for variant, spec in meshes]
+    return [(variant, ["diff", "--mesh", spec, "--function", STUDY_FUNCTION, "--op", PRESET_OPERATORS[name]],
+             {f"{name}_{variant}_{table}.csv": f"diff_{table}.csv" for table in ("grid", "sld")})
+            for variant, spec in meshes]
+
+
+class TestPresetInputs:
+    """Each preset input, built from its spec string, is bit for bit what the mesh builders and
+    ``make_sinusoid`` give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(0.7)
+    @example(0.3)
+    @example(5e-324)
+    def test_nonuniform_mesh_is_the_refined_equiarc_base(self, beta):
+        base = build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
+        try:
+            expected = refine_insert(base, beta)
+        except MeshError as error:
+            with pytest.raises(ValueError) as raised:
+                presets.section5_nonuniform_mesh(beta)
+            assert str(raised.value).endswith(str(error))
+            return
+        assert presets.section5_nonuniform_mesh(beta).points.tobytes() == expected.points.tobytes()
+
+    def test_uniform_mesh(self):
+        expected = refine_insert(build_uniform(0.0, 1.0, 12), 0.5)
+        assert presets.section5_uniform_mesh().points.tobytes() == expected.points.tobytes()
+
+    def test_oscillator_meshes_and_kappa(self):
+        geometric, uniform = presets.oscillator_meshes()
+        assert geometric.points.tobytes() == build_geometric(0.0, 0.1, 50 / 59, 200).points.tobytes()
+        assert uniform.points.tobytes() == build_uniform(geometric.a, geometric.b, 11).points.tobytes()
+        assert float_bits(presets.OSCILLATOR_KAPPA) == float_bits(4 * math.pi**2)
+
+    def test_study_function(self):
+        f, expected = presets.section5_function(), make_sinusoid(amplitude=-1.0, frequency=4 * math.pi)
+        mesh = presets.section5_nonuniform_mesh()
+        assert f.label == expected.label
+        for order in range(6):
+            assert sample(f, order, mesh).values.tobytes() == sample(expected, order, mesh).values.tobytes()
