@@ -15,6 +15,11 @@ Grammar sketch:
     operator  := "d+" | "d-" | "c" | "d2" | "<outer> <inner>"
 
 ``Npi^k`` means N times pi**k.
+
+Each parser reads spans ``text[i:j]`` of the spec it was given, and
+``_error`` alone gives an error's column: that of the first non-blank
+character of the token the message names, counted from 1 in the text the
+message quotes.
 """
 
 from __future__ import annotations
@@ -45,59 +50,73 @@ MAX_SPEC_POINTS = 10**7
 
 
 _TERM_RE = re.compile(
-    r"^\s*(?P<sign>[+-])?\s*(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?"
-    r"(?P<pi>pi(?:\^(?P<exp>\d+))?)?\s*$"
+    r"\s*(?P<sign>[+-])?\s*(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?"
+    r"(?P<pi>pi(?:\^(?P<exp>\d+))?)?\s*"
 )
 
 
-def _parse_term(token: str, context: str, offset: int) -> float:
-    m = _TERM_RE.match(token)
-    if m is None or (m.group("num") is None and m.group("pi") is None):
-        raise SpecError(
-            f"could not parse number {token.strip()!r} in {context!r} (column {offset + 1})"
-        )
-    value = float(m.group("num")) if m.group("num") is not None else 1.0
-    if m.group("pi"):
+def _error(message: str, text: str, i: int, j: int) -> SpecError:
+    """The error ``message`` names for the token ``text[i:j]``.
+
+    ``message`` may use ``{token}``, the token stripped, ``{text}`` and
+    ``{column}``: the column in ``text``, counted from 1, of the token's
+    first non-blank character, or of its start when it is blank.
+    """
+    span = text[i:j]
+    token = span.strip()
+    start = i + len(span) - len(span.lstrip()) if token else i
+    return SpecError(message.format(token=token, text=text, column=start + 1))
+
+
+def _spans(text: str, i: int, j: int, sep: str):
+    """The (start, end) of each piece of ``text[i:j]`` split at every ``sep``."""
+    while (k := text.find(sep, i, j)) >= 0:
+        yield i, k
+        i = k + len(sep)
+    yield i, j
+
+
+def _term(text: str, i: int, j: int) -> float:
+    m = _TERM_RE.fullmatch(text, i, j)
+    if m is None or (m["num"] is None and m["pi"] is None):
+        raise _error("could not parse number {token!r} in {text!r} (column {column})", text, i, j)
+    value = float(m["num"]) if m["num"] is not None else 1.0
+    if m["pi"]:
         try:
-            value *= math.pi ** int(m.group("exp") or 1)
+            value *= math.pi ** int(m["exp"] or 1)
         except (OverflowError, ValueError) as exc:  # ValueError: an exponent past int's 4,300-digit limit
-            raise SpecError(
-                f"number {token.strip()!r} in {context!r} (column {offset + 1}) overflows a float"
-            ) from exc
-    if m.group("sign") == "-":
-        value = -value
-    return value
+            raise _error("number {token!r} in {text!r} (column {column}) overflows a float", text, i, j) from exc
+    return -value if m["sign"] == "-" else value
 
 
-def parse_number(text: str, context: str | None = None, offset: int = 0) -> float:
-    """Parse a numeric literal, allowing fractions and pi multiples."""
-    context = context if context is not None else text
-    parts = text.split("/")
-    value = _parse_term(parts[0], context, offset)
-    pos = offset + len(parts[0]) + 1
-    for part in parts[1:]:
-        den = _parse_term(part, context, pos)
+def _number(text: str, i: int, j: int) -> float:
+    """The number ``text[i:j]``: its terms, divided left to right."""
+    terms = _spans(text, i, j, "/")
+    value = _term(text, *next(terms))
+    for a, b in terms:
+        den = _term(text, a, b)
         if den == 0:
-            raise SpecError(f"division by zero in {context!r} (column {pos + 1})")
+            raise _error("division by zero in {text!r} (column {column})", text, a, b)
         value /= den
-        pos += len(part) + 1
     return value
 
 
-def _parse_params(text: str, context: str, offset: int) -> dict[str, float]:
+def parse_number(text: str) -> float:
+    """Parse a numeric literal, allowing fractions and pi multiples."""
+    return _number(text, 0, len(text))
+
+
+def _params(text: str, i: int) -> dict[str, float]:
+    """The ``key=number`` pairs of ``text[i:]``."""
     params: dict[str, float] = {}
-    pos = offset
-    for item in text.split(","):
-        if "=" not in item:
-            raise SpecError(
-                f"expected key=value but got {item!r} in {context!r} (column {pos + 1})"
-            )
-        key, raw = item.split("=", 1)
-        name = key.strip()
+    for a, b in _spans(text, i, len(text), ","):
+        eq = text.find("=", a, b)
+        if eq < 0:
+            raise _error("expected key=value but got {token!r} in {text!r} (column {column})", text, a, b)
+        name = text[a:eq].strip()
         if name in params:
-            raise SpecError(f"repeated parameter {name!r} in {context!r} (column {pos + 1})")
-        params[name] = parse_number(raw, context, pos + len(key) + 1)
-        pos += len(item) + 1
+            raise _error("repeated parameter {token!r} in {text!r} (column {column})", text, a, eq)
+        params[name] = _number(text, eq + 1, b)
     return params
 
 
@@ -131,12 +150,10 @@ def parse_function_spec(text: str) -> AnalyticFunction:
     head, _, rest = text.partition(":")
     name = head.strip()
     if name not in _FUNCTIONS:
-        raise SpecError(
-            f"unknown function {name!r} in {text!r} (column 1); "
-            f"known: {', '.join(sorted(_FUNCTIONS))}"
-        )
+        raise _error("unknown function {token!r} in {text!r} (column {column}); known: "
+                     + ", ".join(sorted(_FUNCTIONS)), text, 0, len(head))
     factory, defaults = _FUNCTIONS[name]
-    params = _parse_params(rest, text, len(head) + 1) if rest else {}
+    params = _params(text, len(head) + 1) if rest else {}
     try:
         if defaults is not None:
             unknown = params.keys() - defaults
@@ -169,35 +186,32 @@ def parse_mesh_spec(text: str) -> Mesh:
     Forms: ``uniform:a,b,n``, ``geometric:t0,h0,r,m``,
     ``equiarc:curve,a,b,n`` and any of them followed by ``+insert:beta``.
     """
-    body, insert, suffix = text.partition("+insert:")
+    body, insert, _ = text.partition("+insert:")
     head, _, rest = body.rstrip().partition(":")
     kind = head.strip()
     if kind not in _MESH_KINDS:
-        raise SpecError(
-            f"unknown mesh kind {kind!r} in {text!r} (column 1); known: {', '.join(_MESH_KINDS)}"
-        )
+        raise _error("unknown mesh kind {token!r} in {text!r} (column {column}); known: "
+                     + ", ".join(_MESH_KINDS), text, 0, len(head))
     names, builder, extra = _MESH_KINDS[kind]
+    start = len(head) + 1
+    spans = list(_spans(text, start, start + len(rest), ","))
     curve = names[0] == "curve"
-    # A curve may hold commas of its own, so an equiarc spec's numbers are split off from the right.
-    parts = rest.rsplit(",", len(names) - 1) if curve else rest.split(",")
-    if len(parts) != len(names):
+    # A curve may hold commas of its own, so an equiarc spec's numbers are its last pieces.
+    if curve and len(spans) > len(names):
+        spans[: len(spans) - len(names) + 1] = [(start, spans[-len(names)][1])]
+    if len(spans) != len(names):
         raise SpecError(
             f"{kind!r} expects {','.join(names)} but got {rest!r} in {text!r}" if curve else
-            f"{kind!r} expects {len(names)} comma-separated values, got {len(parts)} in {text!r}"
+            f"{kind!r} expects {len(names)} comma-separated values, got {len(spans)} in {text!r}"
         )
-    args: list = []
-    pos = len(head) + 1
-    for name, part in zip(names, parts):
-        if name != "curve":
-            args.append(parse_number(part, text, pos))
-        pos += len(part) + 1
+    args: list = [_number(text, a, b) for a, b in (spans[1:] if curve else spans)]
     count = args[-1]
     if not math.isfinite(count) or count != int(count):
         raise SpecError(f"{names[-1]} must be an integer in {text!r}, got {count!r}")
     args[-1] = int(count)
     if curve:
-        args.insert(0, parse_function_spec(parts[0]))
-    beta = parse_number(suffix, text, len(body) + len(insert)) if insert else None
+        args.insert(0, parse_function_spec(text[start : spans[0][1]]))
+    beta = _number(text, len(body) + len(insert), len(text)) if insert else None
     n_points = args[-1] + extra
     total = n_points if beta is None else 2 * n_points - 1
     if total > MAX_SPEC_POINTS:
@@ -222,13 +236,11 @@ def parse_operator(text: str) -> Operator:
     op = _OPERATORS.get(" ".join(parts))
     if op is not None:
         return op
-    if len(parts) == 1:
-        raise SpecError(
-            f"unknown operator {parts[0]!r} (column 1); use d+, d-, c, d2 or a pair like 'd+ d-'"
-        )
-    if len(parts) == 2:
-        bad = next(part for part in parts if not isinstance(_OPERATORS.get(part), FirstDiffKind))
-        raise SpecError(
-            f"unknown difference {bad!r} in {text!r} (column {text.find(bad) + 1})"
-        )
+    words = list(re.finditer(r"\S+", text))
+    if len(words) == 1:
+        raise _error("unknown operator {token!r} (column {column}); use d+, d-, c, d2 or a pair like 'd+ d-'",
+                     text, *words[0].span())
+    if len(words) == 2:
+        bad = next(word for word in words if not isinstance(_OPERATORS.get(word[0]), FirstDiffKind))
+        raise _error("unknown difference {token!r} in {text!r} (column {column})", text, *bad.span())
     raise SpecError(f"operator spec {text!r} must be one name or an ordered pair")

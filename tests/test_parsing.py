@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nufd import ALL_SECOND_SPECS, D2_CORRECTED, FirstDiffKind, SecondDiffSpec
 from nufd.parsing import (
@@ -11,6 +13,12 @@ from nufd.parsing import (
     parse_number,
     parse_operator,
 )
+
+
+# Each malformed number with its exact message.
+_MALFORMED_NUMBERS = {
+    " x": "could not parse number 'x' in ' x' (column 2)",
+}
 
 
 class TestParseNumber:
@@ -38,6 +46,12 @@ class TestParseNumber:
         with pytest.raises(SpecError):
             parse_number(bad)
 
+    @pytest.mark.parametrize("bad", list(_MALFORMED_NUMBERS))
+    def test_message(self, bad):
+        with pytest.raises(SpecError) as info:
+            parse_number(bad)
+        assert str(info.value) == _MALFORMED_NUMBERS[bad]
+
     def test_error_carries_position(self):
         with pytest.raises(SpecError, match="column"):
             parse_number("1/oops")
@@ -50,6 +64,55 @@ class TestParseNumber:
         with pytest.raises(SpecError, match=r"overflows a float$"):
             parse_number("pi^" + "9" * 5000)  # more digits than int() converts
         assert parse_number("1e400") == math.inf  # a float literal's own overflow stays inf
+
+
+# Each malformed function spec with its exact message.
+_MALFORMED_FUNCTIONS = [
+    (
+        "sinusoid:wavelength=2",
+        "bad parameters in 'sinusoid:wavelength=2': unknown parameter(s) ['wavelength'] "
+        "for 'sinusoid'; allowed: ['amplitude', 'frequency', 'phase']",
+    ),
+    ("poly:q3=1", "bad parameters in 'poly:q3=1': unknown polynomial parameter 'q3'; use c0..c5"),
+    ("poly:c7=1", "bad parameters in 'poly:c7=1': polynomial power 7 above the supported degree 5"),
+    ("oscillator", "bad parameters in 'oscillator': 'oscillator' needs the parameter kappa"),
+    ("sinusoid:amplitude=1,amplitude=2",
+     "repeated parameter 'amplitude' in 'sinusoid:amplitude=1,amplitude=2' (column 22)"),
+    ("poly:c1=1,c1=3", "repeated parameter 'c1' in 'poly:c1=1,c1=3' (column 11)"),
+    ("oscillator:kappa=1,kappa=x", "repeated parameter 'kappa' in 'oscillator:kappa=1,kappa=x' (column 20)"),
+    ("wavelet:a=1", "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid"),
+    ("sinusoid:amplitude", "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)"),
+    ("sinusoid:amplitude=x", "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)"),
+    # Columns count in the text as given, whitespace included.
+    (" sinusoid:amplitude=x", "could not parse number 'x' in ' sinusoid:amplitude=x' (column 21)"),
+    (
+        "oscillator:kappa=4pi^2,x=1",
+        "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
+        "allowed: ['kappa']",
+    ),
+    # Several faults: the first in the order name, key=value, number,
+    # unknown parameter, missing parameter is reported.
+    ("wavelet:a", "unknown function 'wavelet' in 'wavelet:a' (column 1); known: oscillator, poly, sinusoid"),
+    (
+        "sinusoid:wavelength=2,amplitude",
+        "expected key=value but got 'amplitude' in 'sinusoid:wavelength=2,amplitude' (column 23)",
+    ),
+    (
+        "sinusoid:amplitude=1,frequency=x,wavelength=2",
+        "could not parse number 'x' in 'sinusoid:amplitude=1,frequency=x,wavelength=2' (column 32)",
+    ),
+    (
+        "oscillator:x=1",
+        "bad parameters in 'oscillator:x=1': unknown parameter(s) ['x'] for 'oscillator'; allowed: ['kappa']",
+    ),
+    ("poly:c7=1,q3=1", "bad parameters in 'poly:c7=1,q3=1': polynomial power 7 above the supported degree 5"),
+    # Columns point at a token's first non-blank character.
+    ("sinusoid:amplitude= x", "could not parse number 'x' in 'sinusoid:amplitude= x' (column 21)"),
+    ("sinusoid:amplitude=1, amplitude=2",
+     "repeated parameter 'amplitude' in 'sinusoid:amplitude=1, amplitude=2' (column 23)"),
+    ("sinusoid:amplitude=1, amp", "expected key=value but got 'amp' in 'sinusoid:amplitude=1, amp' (column 23)"),
+    (" wavelet:a=1", "unknown function 'wavelet' in ' wavelet:a=1' (column 2); known: oscillator, poly, sinusoid"),
+]
 
 
 class TestParseFunctionSpec:
@@ -76,49 +139,7 @@ class TestParseFunctionSpec:
         with pytest.raises(SpecError, match="key=value"):
             parse_function_spec("sinusoid:amplitude")
 
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            (
-                "sinusoid:wavelength=2",
-                "bad parameters in 'sinusoid:wavelength=2': unknown parameter(s) ['wavelength'] "
-                "for 'sinusoid'; allowed: ['amplitude', 'frequency', 'phase']",
-            ),
-            ("poly:q3=1", "bad parameters in 'poly:q3=1': unknown polynomial parameter 'q3'; use c0..c5"),
-            ("poly:c7=1", "bad parameters in 'poly:c7=1': polynomial power 7 above the supported degree 5"),
-            ("oscillator", "bad parameters in 'oscillator': 'oscillator' needs the parameter kappa"),
-            ("sinusoid:amplitude=1,amplitude=2",
-             "repeated parameter 'amplitude' in 'sinusoid:amplitude=1,amplitude=2' (column 22)"),
-            ("poly:c1=1,c1=3", "repeated parameter 'c1' in 'poly:c1=1,c1=3' (column 11)"),
-            ("oscillator:kappa=1,kappa=x", "repeated parameter 'kappa' in 'oscillator:kappa=1,kappa=x' (column 20)"),
-            ("wavelet:a=1", "unknown function 'wavelet' in 'wavelet:a=1' (column 1); known: oscillator, poly, sinusoid"),
-            ("sinusoid:amplitude", "expected key=value but got 'amplitude' in 'sinusoid:amplitude' (column 10)"),
-            ("sinusoid:amplitude=x", "could not parse number 'x' in 'sinusoid:amplitude=x' (column 20)"),
-            # Columns count in the text as given, whitespace included.
-            (" sinusoid:amplitude=x", "could not parse number 'x' in ' sinusoid:amplitude=x' (column 21)"),
-            (
-                "oscillator:kappa=4pi^2,x=1",
-                "bad parameters in 'oscillator:kappa=4pi^2,x=1': unknown parameter(s) ['x'] for 'oscillator'; "
-                "allowed: ['kappa']",
-            ),
-            # Several faults: the first in the order name, key=value, number,
-            # unknown parameter, missing parameter is reported.
-            ("wavelet:a", "unknown function 'wavelet' in 'wavelet:a' (column 1); known: oscillator, poly, sinusoid"),
-            (
-                "sinusoid:wavelength=2,amplitude",
-                "expected key=value but got 'amplitude' in 'sinusoid:wavelength=2,amplitude' (column 23)",
-            ),
-            (
-                "sinusoid:amplitude=1,frequency=x,wavelength=2",
-                "could not parse number 'x' in 'sinusoid:amplitude=1,frequency=x,wavelength=2' (column 32)",
-            ),
-            (
-                "oscillator:x=1",
-                "bad parameters in 'oscillator:x=1': unknown parameter(s) ['x'] for 'oscillator'; allowed: ['kappa']",
-            ),
-            ("poly:c7=1,q3=1", "bad parameters in 'poly:c7=1,q3=1': polynomial power 7 above the supported degree 5"),
-        ],
-    )
+    @pytest.mark.parametrize("text,message", _MALFORMED_FUNCTIONS)
     def test_bad_parameter_message(self, text, message):
         with pytest.raises(SpecError) as info:
             parse_function_spec(text)
@@ -171,6 +192,11 @@ _MALFORMED_MESHES = {
     "uniform:1,0,20000000": "mesh spec 'uniform:1,0,20000000' asks for 20000000 points; the limit is 10000000",
     "uniform:1,0,5+insert:2":
         "invalid mesh spec 'uniform:1,0,5+insert:2': interval endpoints must satisfy b > a, got a=1.0, b=0.0",
+    # Columns point at a token's first non-blank character.
+    "uniform:0, x,5": "could not parse number 'x' in 'uniform:0, x,5' (column 12)",
+    "uniform:0,1/ 0,5": "division by zero in 'uniform:0,1/ 0,5' (column 14)",
+    "uniform:0,1,5+insert: x": "could not parse number 'x' in 'uniform:0,1,5+insert: x' (column 23)",
+    " spline:0,1,5": "unknown mesh kind 'spline' in ' spline:0,1,5' (column 2); known: uniform, geometric, equiarc",
 }
 
 
@@ -245,6 +271,8 @@ _MALFORMED_OPERATORS = {
     "d2 d2": "unknown difference 'd2' in 'd2 d2' (column 1)",
     "c  d2": "unknown difference 'd2' in 'c  d2' (column 4)",
     "": "operator spec '' must be one name or an ordered pair",
+    " dd": "unknown operator 'dd' (column 2); use d+, d-, c, d2 or a pair like 'd+ d-'",
+    "d+ d": "unknown difference 'd' in 'd+ d' (column 4)",
 }
 
 
@@ -271,3 +299,50 @@ class TestParseOperator:
         with pytest.raises(SpecError) as info:
             parse_operator(bad)
         assert str(info.value) == _MALFORMED_OPERATORS[bad]
+
+
+# Every pinned message above that gives a column, with its parser.
+_COLUMN_CASES = [
+    (parse, spec, message)
+    for parse, table in (
+        (parse_number, _MALFORMED_NUMBERS),
+        (parse_function_spec, dict(_MALFORMED_FUNCTIONS)),
+        (parse_mesh_spec, _MALFORMED_MESHES),
+        (parse_operator, _MALFORMED_OPERATORS),
+    )
+    for spec, message in table.items()
+    if "(column" in message
+]
+_SEPARATORS = re.compile(r"\+insert:|[:,=/]")
+# The token a message names, if any, the text it quotes, if any, and the column.
+_COLUMN = re.compile(r"(?:'(?P<token>[^']*)' )?(?:in '(?P<text>[^']*)' )?\(column (?P<column>\d+)\)")
+
+
+def _named(message: str, spec: str) -> tuple[str | None, str, int]:
+    """The token ``message`` names (None for division by zero), the text it counts in and its column."""
+    m = _COLUMN.search(message)
+    return m["token"], m["text"] if m["text"] is not None else spec, int(m["column"])
+
+
+class TestErrorColumns:
+    """A column is the first non-blank character of the token the message names, in the text it quotes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_COLUMN_CASES), st.data())
+    def test_blanks_before_a_token_move_its_column(self, case, data):
+        parse, spec, message = case
+        cuts = [0, *(m.end() for m in _SEPARATORS.finditer(spec))]
+        runs = data.draw(st.lists(st.integers(0, 3), min_size=len(cuts), max_size=len(cuts)))
+        pieces = (spec[a:b] for a, b in zip(cuts, [*cuts[1:], len(spec)]))
+        blanked = "".join(" " * run + piece for run, piece in zip(runs, pieces))
+        with pytest.raises(SpecError) as info:
+            parse(blanked)
+        token, text, column = _named(str(info.value), blanked)
+        want_token, want_text, want_column = _named(message, spec)
+        before = text[: column - 1]
+        assert token == want_token
+        assert before.replace(" ", "") == want_text[: want_column - 1].replace(" ", "")
+        if token == "":  # a blank token's column is where it starts
+            assert not before.endswith(" ")
+        else:  # division by zero names no token, but points at its denominator
+            assert text[column - 1] != " " and text.startswith(token or "", column - 1)
