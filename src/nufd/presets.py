@@ -15,7 +15,7 @@ from pathlib import Path
 from . import diffops, ivp, parsing
 from .diffops import GridFunction, Operator
 from .functions import AnalyticFunction, sample
-from .mesh import Mesh, smoothness_ratios, write_mesh_csv, FLOAT_FORMAT, _write_tables
+from .mesh import Mesh, refine_insert, smoothness_ratios, write_mesh_csv, FLOAT_FORMAT, _write_tables
 from .metrics import SldSeries, classify, scaled_local_difference
 
 __all__ = [
@@ -37,8 +37,9 @@ DEFAULT_BETA = 0.7
 
 # Every preset input, written as its command line takes it: the derivative
 # presets' ``--op``, the study function's ``--function``, the meshes'
-# ``--mesh`` (``{beta!r}`` is ``--beta``, ``{b!r}`` the geometric mesh's end)
-# and ``--kappa``.  Each is built through ``parsing`` when used.
+# ``--mesh`` (the nonuniform one with ``+insert:`` and ``--beta`` after it,
+# ``{b!r}`` is the geometric mesh's end) and ``--kappa``.  Each is built
+# through ``parsing`` when first used.
 _SPECS = {
     "ex5_1": "c",
     "ex5_2": "d+ d+",
@@ -46,7 +47,7 @@ _SPECS = {
     "ex5_4": "c c",
     "function": "sinusoid:amplitude=-1,frequency=4pi",
     "uniform": "uniform:0,1,12+insert:0.5",
-    "nonuniform": "equiarc:sinusoid:frequency=2pi,0,1,12+insert:{beta!r}",
+    "nonuniform": "equiarc:sinusoid:frequency=2pi,0,1,12",
     "geometric": "geometric:0,0.1,50/59,200",
     "oscillator_uniform": "uniform:0,{b!r},11",
     "kappa": "4pi^2",
@@ -57,19 +58,25 @@ PRESET_NAMES = ("ex5_1", "ex5_2", "ex5_3", "ex5_4", "ex5_5", "fig5_1")
 
 
 @functools.cache
-def _mesh(spec: str) -> Mesh:
-    """The mesh of ``spec``, built once per spec: a mesh is immutable."""
-    return parsing.parse_mesh_spec(spec)
+def _parsed(parser: str, spec: str, beta: float | None = None):
+    """``parsing.<parser>(spec)``, refined as ``+insert:beta`` would when ``beta`` is given.
+
+    Each is built once per process, as meshes, functions and operators are
+    immutable.  ``refine_insert`` itself refines, so that a ``beta`` that no
+    spec number spells, NaN, meets its own check.
+    """
+    built = getattr(parsing, parser)(spec)
+    return built if beta is None else refine_insert(built, beta)
 
 
 def section5_function() -> AnalyticFunction:
     """-sin(4*pi*t), the test function of the derivative studies."""
-    return parsing.parse_function_spec(_SPECS["function"])
+    return _parsed("parse_function_spec", _SPECS["function"])
 
 
 def section5_uniform_mesh() -> Mesh:
     """23 equally spaced points on [0, 1] (12 points plus midpoints)."""
-    return _mesh(_SPECS["uniform"])
+    return _parsed("parse_mesh_spec", _SPECS["uniform"])
 
 
 def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
@@ -78,7 +85,7 @@ def section5_nonuniform_mesh(beta: float = DEFAULT_BETA) -> Mesh:
     ``beta`` > 0.5 places the inserted points closer to their right
     neighbours.
     """
-    return _mesh(_SPECS["nonuniform"].format(beta=float(beta)))
+    return _parsed("parse_mesh_spec", _SPECS["nonuniform"], float(beta))
 
 
 def oscillator_meshes() -> tuple[Mesh, Mesh]:
@@ -87,8 +94,8 @@ def oscillator_meshes() -> tuple[Mesh, Mesh]:
     The geometric mesh starts at h0 = 1/10 with ratio 50/59 for 202 points;
     the uniform one covers the same interval in ten equal steps.
     """
-    geometric = _mesh(_SPECS["geometric"])
-    return geometric, _mesh(_SPECS["oscillator_uniform"].format(b=geometric.b))
+    geometric = _parsed("parse_mesh_spec", _SPECS["geometric"])
+    return geometric, _parsed("parse_mesh_spec", _SPECS["oscillator_uniform"].format(b=geometric.b))
 
 
 def _summary_line(series: SldSeries) -> str:
@@ -206,7 +213,7 @@ def run_preset(name: str, out_dir: Path, beta: float = DEFAULT_BETA) -> dict:
             _write_tables([(out_dir / f"fig5_1_{variant}_ratios.csv", "k,ratio", (ratios,), ())], first_index=0)
             return {"steps": [float(h) for h in mesh.steps], "ratios": [float(r) for r in ratios]}
     else:
-        op = parsing.parse_operator(_SPECS[name])
+        op = _parsed("parse_operator", _SPECS[name])
         f = section5_function()
         summary = {
             "preset": name,

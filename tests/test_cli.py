@@ -532,6 +532,7 @@ class TestPresetInputs:
     @example(0.7)
     @example(0.3)
     @example(5e-324)
+    @example(math.nan)  # passes click's FloatRange, as NaN fails no comparison
     def test_nonuniform_mesh_is_the_refined_equiarc_base(self, beta):
         base = build_equiarclength(make_sinusoid(amplitude=1.0, frequency=2 * math.pi), 0.0, 1.0, 12)
         try:
