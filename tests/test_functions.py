@@ -258,10 +258,20 @@ class TestFactories:
 
 
 def _mp_root(fn, a, b):
-    """Root of ``fn`` inside (a, b), where fn(a) and fn(b) differ in sign."""
-    # the solver's stopping test is absolute, so it sees fn at unit scale
-    scale = max(abs(fn(a)), abs(fn(b)))
-    return mp.findroot(lambda t: fn(t) / scale, (a, b), solver="anderson", verify=False)
+    """Root of ``fn`` inside (a, b), where fn(a) and fn(b) differ in sign.
+
+    Bisection keeps the sign change bracketed, so it cannot leave (a, b) or
+    stop short, as a secant-type solver can; it halves the bracket once per
+    bit of the working precision.
+    """
+    negative_at_a = fn(a) < 0
+    for _ in range(mp.mp.prec):
+        mid = (a + b) / 2
+        if (fn(mid) < 0) == negative_at_a:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2
 
 
 def _mp_sup_abs(g, gp, lo, hi, cells, critical=()):
@@ -396,6 +406,7 @@ class TestSupAbs:
     @example([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], 1, -0.5, 1.0)  # p'' = 20 t**3, a triple root
     @example([0.0, 0.0, 1.0, 5e-324], 0, 0.0, 1.0)  # p' has a root near -1e323
     @example([0.0, 0.0, 0.0, 0.0, 5e-324], 0, 2.5, 0.0)  # Horner gives 1.5e-322, the oracle 1.93e-322
+    @example([1.0, 0.0, 0.0, 0.0, -1.0], 0, -0.890625, 1.0)  # p' = -4t**3: its root 0 is a triple one
     @settings(max_examples=150, deadline=None)
     def test_polynomial(self, coefs, order, lo, width):
         hi = lo + width
