@@ -1,11 +1,11 @@
-"""Per-call timings of nufd's scalar analysis, its CSV writers, its march and its array pipeline.
+"""Per-call timings of nufd's scalar analysis, its CSV writers, its march, its array pipeline and its spec parsers.
 
 Usage: python3 scripts/timings.py [--src DIR ...]
 
 Each --src is a directory holding the nufd package (a checkout's src/); the
 default is this checkout's.  Every tree is imported once, side by side in this
 one interpreter, as the package ``nufd_<i>`` for the i-th --src.  There are
-five case sets:
+six case sets:
 
 - scalar: each case calls one function over a fixed list of 500 argument
   tuples built from a 2,001-point jittered mesh (seed 2001); a call set is
@@ -39,7 +39,13 @@ five case sets:
   100,000 jittered points (seed 2001) and on 100,000 uniform points of [0, 1];
 - arrays: ``sample`` of -sin(4 pi t) and of its second derivative, ``d- d+``
   by ``apply_operator`` and ``scaled_local_difference``, on 1,000,000
-  jittered points (seed 2001).
+  jittered points (seed 2001);
+- spec: the ``nufd.parsing`` calls the presets and the command line make; a
+  call set is 200 calls with the same spec string.  ``parse_function_spec``
+  of the study function ``sinusoid:amplitude=-1,frequency=4pi``,
+  ``parse_operator("d+ d+")``, ``parse_number("4pi^2")`` and
+  ``parse_mesh_spec("geometric:0,0.1,50/59,200")``, which builds the
+  202-point oscillator mesh too.
 
 Within each case the trees take turns, one call set each, and the tree that
 goes first alternates from round to round, so that a change in the machine's
@@ -84,6 +90,7 @@ CASE_SETS = {
     "csv": ("ms", 1e3, 25, 3),
     "march": ("ms", 1e3, 41, 3),
     "arrays": ("ms", 1e3, 31, 2),
+    "spec": ("µs", 1e6, 41, 2),
 }
 
 
@@ -229,7 +236,22 @@ def _array_cases(nufd, out: Path) -> dict[str, tuple]:
     }
 
 
-_BUILDERS = {"scalar": _scalar_cases, "small": _small_cases, "csv": _csv_cases, "march": _march_cases, "arrays": _array_cases}
+def _spec_cases(nufd, out: Path) -> dict[str, tuple]:
+    """name -> (parser, one spec string repeated); public API only, so any tree can run it."""
+    parsing = importlib.import_module(f"{nufd.__name__}.parsing")
+    specs = {
+        "parse_function_spec (study function)": (parsing.parse_function_spec, "sinusoid:amplitude=-1,frequency=4pi"),
+        "parse_operator d+ d+": (parsing.parse_operator, "d+ d+"),
+        "parse_number 4pi^2": (parsing.parse_number, "4pi^2"),
+        "parse_mesh_spec geometric:0,0.1,50/59,200": (parsing.parse_mesh_spec, "geometric:0,0.1,50/59,200"),
+    }
+    return {name: (parse, [(spec,)] * SMALL_CALLS) for name, (parse, spec) in specs.items()}
+
+
+_BUILDERS = {
+    "scalar": _scalar_cases, "small": _small_cases, "csv": _csv_cases, "march": _march_cases, "arrays": _array_cases,
+    "spec": _spec_cases,
+}
 
 
 def _per_call(fn, args: list[tuple]) -> float:
