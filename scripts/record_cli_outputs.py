@@ -42,7 +42,7 @@ RECORD = ROOT / "tests" / "data" / "cli_outputs.sha256"
 
 def platform_tag() -> str:
     """What the outputs depend on beyond nufd: the C library's ``sin``,
-    ``cos`` and ``pow``, Python's ``sum`` (compensated from 3.12) and numpy."""
+    ``cos`` and ``pow``, the Python version and numpy."""
     libc = " ".join(platform.libc_ver()) or "unknown libc"
     return (f"{platform.system()} {platform.machine()} {libc}, "
             f"Python {sys.version_info.major}.{sys.version_info.minor}, numpy {np.__version__}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -95,35 +96,51 @@ def _not_expandable(op: Operator, index: int, x: list[float]) -> MeshError:
     )
 
 
-def _report(spec: SecondOperator, plan: _Plan, x: list[float], index: int) -> ConsistencyReport:
-    """The moments M_2 and M_3, sum_j w_j (t_{k+j} - t_k)**p / p!, from one pass over the stencil row.
+def _moments(op: Operator, plan: _Plan, x: list[float], index: int, p: int = 0) -> tuple[float, ...]:
+    """(M_2, M_3, M_4, R_p) from one pass over the stencil row: the Taylor
+    moments M_q = sum_j w_j d_j**q / q!, d_j = t_{k+j} - t_k, and the
+    remainder sum R_p = sum_j |w_j d_j**p| / p!.
 
-    The row is ``plan.rows`` in offset order, each weight read from
-    ``_weights``, so the (offset, weight) pairs of :func:`stencil` are never
-    built.  t_k is x[-lo].  Each moment is ``sum`` of a list in offset
-    order, not a running ``+=``: from Python 3.12 ``sum`` of floats is
-    compensated, so the two differ there, and the bitwise tests pin the
-    ``sum`` form.  Steps that float64 cannot expand over (a weight or a
-    power that overflows, points that collapse, or inf * 0 where weights
-    overflow and powers underflow) raise MeshError.  They are detected after
-    the fact, by the exception or by a moment that is not finite, so the
-    loop and every finite moment stay as they were.
+    M_4 and R_p are formed only for p = 4 or 5, the remainder order of
+    :func:`expansion_prediction`; otherwise both are 0.  The row is
+    ``plan.rows`` in offset order, each weight read from ``_weights``, so the
+    (offset, weight) pairs of :func:`stencil` are never built.  t_k is
+    x[-lo].  Each power of d is a product, never ``**``, and each sum is
+    ``math.fsum``, so every moment is the correctly rounded sum of its terms,
+    whatever their order and the Python version: reflecting the points,
+    which reverses the row, or scaling them by a power of two, which scales
+    every term exactly, maps every moment exactly.  Steps that float64
+    cannot expand over (a weight or a power that overflows, points that
+    collapse, or inf * 0 where weights overflow and powers underflow) raise
+    MeshError, by fsum's own error or by a sum that is not finite.
     """
     lo = plan.lo
     tk = x[-lo]
-    squares, cubes = [], []
+    squares, cubes, fourths, remainders = [], [], [], []
     try:
         weights = _weights(plan, x)
         for j, i in plan.rows:
             w = weights[i]
             d = x[j - lo] - tk
-            squares.append(w * d**2)
-            cubes.append(w * d**3)
-    except ArithmeticError as exc:
-        raise _not_expandable(spec, index, x) from exc
-    leading, fppp = sum(squares) / 2, sum(cubes) / 6
-    if not (math.isfinite(leading) and math.isfinite(fppp)):
-        raise _not_expandable(spec, index, x)
+            dd = d * d
+            squares.append(w * dd)
+            cubes.append(w * (dd * d))
+            if p:  # only the predictions reach the fourth power
+                d4 = dd * dd
+                fourths.append(w * d4)
+                remainders.append(abs(w * (d4 if p == 4 else d4 * d)))
+        m2, m3 = fsum(squares) / 2, fsum(cubes) / 6
+        m4, bound = (fsum(fourths) / 24, fsum(remainders) / math.factorial(p)) if p else (0.0, 0.0)
+    except (ArithmeticError, ValueError) as exc:
+        raise _not_expandable(op, index, x) from exc
+    if not (isfinite(m2) and isfinite(m3) and isfinite(m4) and isfinite(bound)):
+        raise _not_expandable(op, index, x)
+    return m2, m3, m4, bound
+
+
+def _report(spec: SecondOperator, plan: _Plan, x: list[float], index: int) -> ConsistencyReport:
+    """The report of M_2 and M_3 from :func:`_moments`."""
+    leading, fppp, _, _ = _moments(spec, plan, x, index)
     # the frozen dataclass's __init__ sets each field through object.__setattr__;
     # filling the instance dict at once gives the same object in a third of the time
     report = object.__new__(ConsistencyReport)
@@ -159,7 +176,7 @@ def consistency_coefficient(spec: SecondOperator, steps: Sequence[float | None])
         if value is None:
             raise ValueError(f"operator '{spec}' needs step {_STEP_NAMES[which]}, which is missing")
         value = float(value)
-        if not (math.isfinite(value) and value > 0):
+        if not (isfinite(value) and value > 0):
             raise ValueError(f"step {_STEP_NAMES[which]} must be positive and finite, got {value!r}")
         return value
 
@@ -186,10 +203,7 @@ def geometric_consistency(spec: SecondOperator, alpha: float) -> float:
     Equals 1 for every pair exactly when alpha == 1, and for d2 always.  Raises
     ValueError unless alpha, alpha**2 and alpha**3 are all positive finite floats.
     """
-    try:
-        steps = (1.0, alpha, alpha**2, alpha**3)
-    except OverflowError:
-        steps = (math.inf,)
+    steps = (1.0, alpha, alpha * alpha, alpha * alpha * alpha)
     if not all(0 < h < math.inf for h in steps):
         raise ValueError(f"alpha, alpha**2 and alpha**3 must be positive and finite, got alpha={alpha!r}")
     return consistency_coefficient(spec, steps).leading_coefficient
@@ -223,10 +237,9 @@ def first_diff_error_bound(
     # the central difference, the only one that spans two steps
     t0, t1, t2 = x
     h0, h1 = t1 - t0, t2 - t1
-    try:
-        h0_sq, h1_sq = h0**2, h1**2
-    except ArithmeticError as exc:  # a step beyond about 1.3e154
-        raise _not_expandable(kind, k, x) from exc
+    h0_sq, h1_sq = h0 * h0, h1 * h1
+    if math.inf in (h0_sq, h1_sq):  # a step beyond about 1.3e154
+        raise _not_expandable(kind, k, x)
     if mesh.is_uniform():
         return (h1_sq / 3) * f.sup_abs(3, t0, t2)
     sup_fwd = f.sup_abs(2, t1, t2)
@@ -255,29 +268,10 @@ def expansion_prediction(
     indices.
     """
     plan, x = _local_points(spec, mesh, k)
-    lo = plan.lo
-    tk = x[-lo]
-    p = 5 if lo == -plan.hi else 4
-    # one pass over the stencil row, weights and lists as in _report
-    squares, cubes, fourths, remainders = [], [], [], []
-    try:
-        weights = _weights(plan, x)
-        for j, i in plan.rows:
-            w = weights[i]
-            d = x[j - lo] - tk
-            squares.append(w * d**2)
-            cubes.append(w * d**3)
-            if p == 5:  # only the symmetric windows reach the fourth moment
-                fourths.append(w * d**4)
-            remainders.append(abs(w) * abs(d) ** p)
-    except ArithmeticError as exc:
-        raise _not_expandable(spec, k, x) from exc
-    m2, m3, m4 = sum(squares) / 2, sum(cubes) / 6, sum(fourths) / 24  # no fourths unless p == 5
-    bound = sum(remainders) / math.factorial(p)
-    if not (math.isfinite(m2) and math.isfinite(m3) and math.isfinite(m4) and math.isfinite(bound)):
-        raise _not_expandable(spec, k, x)
-    moments = (m2, m3, m4)
-    predicted = sum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
+    tk = x[-plan.lo]
+    p = 5 if plan.lo == -plan.hi else 4
+    *moments, bound = _moments(spec, plan, x, k, p)
+    predicted = fsum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
     return predicted, bound * f.sup_abs(p, x[0], x[-1])
 
 

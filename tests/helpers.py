@@ -69,6 +69,19 @@ def family_mesh(rng: np.random.Generator, family: str, n_points: int) -> Mesh:
     return exact_uniform_mesh(rng, n_points)
 
 
+_MIRRORED = {FirstDiffKind.FORWARD: FirstDiffKind.BACKWARD, FirstDiffKind.BACKWARD: FirstDiffKind.FORWARD,
+             FirstDiffKind.CENTRAL: FirstDiffKind.CENTRAL}
+
+
+def mirrored(op):
+    """The operator that t -> -t turns ``op`` into: d+ and d- swap, a pair maps componentwise, c and d2 stay."""
+    if isinstance(op, FirstDiffKind):
+        return _MIRRORED[op]
+    if isinstance(op, SecondDiffSpec):
+        return SecondDiffSpec(_MIRRORED[op.outer], _MIRRORED[op.inner])
+    return op
+
+
 def reference_columns_csv(header: str, columns, first_index: int | None = None,
                           footer=()) -> str:
     """CSV text of ``columns`` rendered one cell at a time.

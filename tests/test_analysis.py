@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,16 @@ from nufd import (
 from nufd.analysis import CONSISTENCY_TOL, ConsistencyReport
 from nufd.diffops import stencil, stencil_offsets
 
-from helpers import exact_uniform_mesh, jittered_family, mesh_from_quadruple, random_mesh, reference_stencil
+from helpers import (
+    MESH_FAMILIES,
+    exact_uniform_mesh,
+    family_mesh,
+    jittered_family,
+    mesh_from_quadruple,
+    mirrored,
+    random_mesh,
+    reference_stencil,
+)
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 SECOND_OPERATORS = [*ALL_SECOND_SPECS, D2_CORRECTED]
@@ -382,9 +392,10 @@ class TestFloat64Failures:
         self.assert_named(info, "d+ d+", k, mesh.points[k : k + 3].tolist())
 
     @pytest.mark.parametrize("spec,alpha,points", [
-        (SecondDiffSpec(F, F), 1e60, [0.0, 1e60**2, 1e60**2 + 1e60**3]),  # the cube of the offset overflows
+        # the cube of the offset overflows
+        (SecondDiffSpec(F, F), 1e60, [0.0, 1e60 * 1e60, 1e60 * 1e60 + 1e60 * 1e60 * 1e60]),
         (SecondDiffSpec(F, F), 1e-60, [0.0, 1e-120, 1e-120]),  # 1e-120 + 1e-180 collapses onto 1e-120
-        (D2_CORRECTED, 1e-103, [-1e-103, 0.0, 1e-103**2]),  # an inner weight overflows, NaN moments
+        (D2_CORRECTED, 1e-103, [-1e-103, 0.0, 1e-103 * 1e-103]),  # an inner weight overflows, NaN moments
     ], ids=["cube-overflow", "collapsed-points", "nan-moment"])
     def test_geometric_consistency(self, spec, alpha, points):
         with pytest.raises(MeshError) as info:
@@ -400,10 +411,13 @@ class TestFloat64Failures:
         self.assert_named(info, spec, 4, mesh.points[3:6].tolist())
 
     def test_first_diff_error_bound(self):
-        mesh = build_uniform(0.0, 1e160, 9)  # the squared step overflows
-        with pytest.raises(MeshError) as info:
-            first_diff_error_bound(C, self.SINE, mesh, 4)
-        self.assert_named(info, "c", 4, mesh.points[3:6].tolist())
+        for mesh, k in [
+            (build_uniform(0.0, 1e160, 9), 4),  # both squared steps overflow
+            (Mesh([0.0, 2e154, 2e154 + 1e140]), 1),  # only h_{k-1} squared overflows, on a nonuniform window
+        ]:
+            with pytest.raises(MeshError) as info:
+                first_diff_error_bound(C, self.SINE, mesh, k)
+            self.assert_named(info, "c", k, mesh.points[k - 1 : k + 2].tolist())
 
 
 @pytest.fixture(scope="module")
@@ -478,8 +492,19 @@ def _oracle_terms(op, x):
     return [(w, x[j - lo] - x[-lo]) for j, w in reference_stencil(op, x)]
 
 
+def _oracle_power(d, p):
+    """d**p for p = 2 .. 5, formed by products as the analysis forms it."""
+    dd = d * d
+    return (dd, dd * d, dd * dd, dd * dd * d)[p - 2]
+
+
+def _oracle_sum(terms):
+    """The correctly rounded sum of ``terms``: their exact rational sum, rounded once."""
+    return float(sum(map(Fraction, terms)))
+
+
 def _oracle_moment(terms, p):
-    return sum(w * d**p for w, d in terms) / math.factorial(p)
+    return _oracle_sum(w * _oracle_power(d, p) for w, d in terms) / math.factorial(p)
 
 
 def _oracle_quadruple_points(steps):
@@ -528,11 +553,11 @@ class TestReferenceOracle:
                 assert [j for j, _ in row] == [j for j, _ in reference_stencil(spec, x)]
                 assert [w for _, w in row] == [w for w, _ in terms]
                 # f^(q)(t_k) from the array path, which shares no code with the scalar one
-                predicted = sum(
+                predicted = _oracle_sum(
                     _oracle_moment(terms, q) * float(f.evaluate(q, np.array([x[-lo]]))[0])
                     for q in range(2, p)
                 )
-                bound = sum(abs(w) * abs(d) ** p for w, d in terms) / math.factorial(p)
+                bound = _oracle_sum(abs(w * _oracle_power(d, p)) for w, d in terms) / math.factorial(p)
                 assert expansion_prediction(spec, f, mesh, k) == (
                     predicted, bound * f.sup_abs(p, x[0], x[-1])
                 )
@@ -544,7 +569,7 @@ class TestReferenceOracle:
                 assert report.leading_coefficient == _oracle_moment(terms, 2)
                 assert report.fppp_coefficient == _oracle_moment(terms, 3)
             alpha = float(rng.uniform(0.5, 2.0))
-            quad = _oracle_quadruple_points((1.0, alpha, alpha**2, alpha**3))[2 + lo : 3 + hi]
+            quad = _oracle_quadruple_points((1.0, alpha, alpha * alpha, alpha * alpha * alpha))[2 + lo : 3 + hi]
             assert geometric_consistency(spec, alpha) == _oracle_moment(_oracle_terms(spec, quad), 2)
         # the bounds as they read numpy scalars from points and steps
         for k in range(0, n - 1):
@@ -552,11 +577,102 @@ class TestReferenceOracle:
             assert first_diff_error_bound(B, f, mesh, k + 1) == (h[k] / 2) * f.sup_abs(2, t[k], t[k + 1])
         for k in range(1, n - 1):
             if mesh.is_uniform():
-                want = (h[k] ** 2 / 3) * f.sup_abs(3, t[k - 1], t[k + 1])
+                want = (h[k] * h[k] / 3) * f.sup_abs(3, t[k - 1], t[k + 1])
             else:
                 sup_fwd, sup_bwd = f.sup_abs(2, t[k], t[k + 1]), f.sup_abs(2, t[k - 1], t[k])
-                want = (h[k] ** 2 * sup_fwd + h[k - 1] ** 2 * sup_bwd) / (2 * (h[k] + h[k - 1]))
+                want = (h[k] * h[k] * sup_fwd + h[k - 1] * h[k - 1] * sup_bwd) / (2 * (h[k] + h[k - 1]))
             assert first_diff_error_bound(C, f, mesh, k) == want
+
+
+class TestExactSymmetries:
+    """Reflecting the points, or scaling them by a power of two, maps every report and prediction exactly.
+
+    Reflection, t -> -t with the points reversed, mirrors the operator and
+    changes M_q by (-1)^q; scaling by 2^j changes M_q by 2^((q-2)j).  Floats
+    compare with ==, so bit for bit up to the sign of a zero.
+    """
+
+    _MESHES = dict(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        family=st.sampled_from(MESH_FAMILIES),
+        n_points=st.integers(min_value=5, max_value=50),  # a geometric ratio of 1/2 ties points beyond 55
+    )
+
+    @staticmethod
+    def windows(mesh):
+        """(spec, k) for every second operator at every index where its stencil fits."""
+        for spec in SECOND_OPERATORS:
+            lo, hi = stencil_offsets(spec)
+            for k in range(-lo, mesh.n_points - hi):
+                yield spec, k
+
+    @staticmethod
+    def reflected(report, spec, index):
+        a, b = report.remainder_bracket
+        return dataclasses.replace(
+            report, spec=spec, index=index, fppp_coefficient=-report.fppp_coefficient, remainder_bracket=(-b, -a)
+        )
+
+    @staticmethod
+    def scaled(report, scale):
+        a, b = report.remainder_bracket
+        return dataclasses.replace(
+            report, fppp_coefficient=report.fppp_coefficient * scale, remainder_bracket=(a * scale, b * scale)
+        )
+
+    @given(**_MESHES, j=st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_consistency_report_at(self, seed, family, n_points, j):
+        mesh = family_mesh(np.random.default_rng(seed), family, n_points)
+        mirror, scaled = Mesh(-mesh.points[::-1]), Mesh(mesh.points * 2.0**j)
+        for spec, k in self.windows(mesh):
+            report = consistency_report_at(spec, mesh, k)
+            back = n_points - 1 - k
+            assert consistency_report_at(mirrored(spec), mirror, back) == self.reflected(report, mirrored(spec), back)
+            assert consistency_report_at(spec, scaled, k) == self.scaled(report, 2.0**j)
+
+    @given(**_MESHES, j=st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_consistency_coefficient(self, seed, family, n_points, j):
+        # the quadruple reversed is the reflected window; every operator reads its own steps of it
+        steps = family_mesh(np.random.default_rng(seed), family, n_points).steps.tolist()
+        for spec in SECOND_OPERATORS:
+            for k in range(2, n_points - 2):
+                quadruple = steps[k - 2 : k + 2]
+                report = consistency_coefficient(spec, quadruple)
+                assert consistency_coefficient(mirrored(spec), quadruple[::-1]) == self.reflected(
+                    report, mirrored(spec), 2
+                )
+                assert consistency_coefficient(spec, [h * 2.0**j for h in quadruple]) == self.scaled(report, 2.0**j)
+
+    @given(**_MESHES, degree=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=100, deadline=None)
+    def test_expansion_prediction_under_reflection(self, seed, family, n_points, degree):
+        # f(t) = sum c_i t^i and its mirror f(-t) = sum (-1)^i c_i t^i: the q-th derivative
+        # changes by (-1)^q at the mirrored point, as M_q does, so every term is unchanged
+        rng = np.random.default_rng(seed)
+        mesh = family_mesh(rng, family, n_points)
+        coefs = rng.normal(size=degree + 1)
+        f, mirror_f = make_polynomial(coefs), make_polynomial(coefs * (-1.0) ** np.arange(degree + 1))
+        mirror = Mesh(-mesh.points[::-1])
+        for spec, k in self.windows(mesh):
+            want = expansion_prediction(spec, f, mesh, k)
+            assert expansion_prediction(mirrored(spec), mirror_f, mirror, n_points - 1 - k) == want, str(spec)
+
+    @given(**_MESHES, degree=st.integers(min_value=0, max_value=5), j=st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=100, deadline=None)
+    def test_expansion_prediction_under_scaling(self, seed, family, n_points, degree, j):
+        # f(t) = sum c_i t^i and f(t / 2^j) = sum c_i 2^(-ij) t^i: each term M_q f^(q)(t_k),
+        # and the bound, change by 2^(-2j)
+        rng = np.random.default_rng(seed)
+        mesh = family_mesh(rng, family, n_points)
+        coefs = rng.normal(size=degree + 1)
+        f, scaled_f = make_polynomial(coefs), make_polynomial(coefs * 2.0 ** (-j * np.arange(degree + 1)))
+        scaled = Mesh(mesh.points * 2.0**j)
+        for spec, k in self.windows(mesh):
+            predicted, bound = expansion_prediction(spec, f, mesh, k)
+            want = (predicted * 2.0 ** (-2 * j), bound * 2.0 ** (-2 * j))
+            assert expansion_prediction(spec, scaled_f, scaled, k) == want, str(spec)
 
 
 class TestOperatorType:

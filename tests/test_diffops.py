@@ -27,7 +27,7 @@ from nufd import (
 )
 from nufd.diffops import derivative_order, slope_jump_divisors, stencil, stencil_offsets
 
-from helpers import EPS, MESH_FAMILIES, family_mesh, random_mesh, stencil_scale
+from helpers import EPS, MESH_FAMILIES, family_mesh, mirrored, random_mesh, stencil_scale
 
 F, B, C = FirstDiffKind.FORWARD, FirstDiffKind.BACKWARD, FirstDiffKind.CENTRAL
 
@@ -482,16 +482,6 @@ class TestLinearity:
 
 
 _ALL_OPERATORS = (*FirstDiffKind, *ALL_SECOND_SPECS, D2_CORRECTED)
-_MIRRORED = {F: B, B: F, C: C}
-
-
-def _mirrored(op):
-    """The operator that t -> -t turns ``op`` into: d+ and d- swap, a pair maps componentwise, c and d2 stay."""
-    if isinstance(op, FirstDiffKind):
-        return _MIRRORED[op]
-    if isinstance(op, SecondDiffSpec):
-        return SecondDiffSpec(_MIRRORED[op.outer], _MIRRORED[op.inner])
-    return op
 
 
 class TestExactSymmetries:
@@ -513,7 +503,7 @@ class TestExactSymmetries:
         mirror = GridFunction(Mesh(-m.points[::-1]), 0, u.values[::-1])
         for op in _ALL_OPERATORS:
             out = apply_operator(op, u)
-            reflected = apply_operator(_mirrored(op), mirror)
+            reflected = apply_operator(mirrored(op), mirror)
             assert reflected.first_index == n_points - 1 - out.last_index
             sign = (-1.0) ** derivative_order(op)
             assert reflected.values[::-1].tobytes() == (sign * out.values).tobytes(), str(op)
