@@ -1,11 +1,12 @@
 """Per-call timings of nufd's scalar analysis, its CSV writers, its march, its array pipeline and its spec parsers.
 
-Usage: python3 scripts/timings.py [--src DIR ...]
+Usage: python3 scripts/timings.py [--src DIR ...] [--set NAME ...]
 
 Each --src is a directory holding the nufd package (a checkout's src/); the
 default is this checkout's.  Every tree is imported once, side by side in this
-one interpreter, as the package ``nufd_<i>`` for the i-th --src.  There are
-six case sets:
+one interpreter, as the package ``nufd_<i>`` for the i-th --src.  Each --set
+names a case set to run, in the order below whatever the order given; the
+default is all of them.  There are six case sets:
 
 - scalar: each case calls one function over a fixed list of 500 argument
   tuples built from a 2,001-point jittered mesh (seed 2001); a call set is
@@ -265,6 +266,8 @@ def _per_call(fn, args: list[tuple]) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", action="append", help="directory holding the nufd package (repeatable)")
+    parser.add_argument("--set", action="append", choices=CASE_SETS, dest="sets",
+                        help="case set to run (repeatable; default: all)")
     args = parser.parse_args()
     srcs = [str(Path(s).resolve()) for s in args.src or [Path(__file__).resolve().parents[1] / "src"]]
     trees = [_import_tree(i, src) for i, src in enumerate(srcs)]
@@ -272,6 +275,8 @@ def main() -> None:
         print(f"[{i}] {src}")
     with tempfile.TemporaryDirectory() as tmp:
         for case_set, (unit, scale, rounds, decimals) in CASE_SETS.items():
+            if args.sets and case_set not in args.sets:
+                continue
             cases = []
             for i, nufd in enumerate(trees):
                 out = Path(tmp) / str(i)

@@ -16,6 +16,7 @@ sup-based bounds.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from math import fsum, isfinite
 from typing import Sequence
@@ -49,6 +50,10 @@ __all__ = [
 
 CONSISTENCY_TOL = 1e-12
 
+# w -> the unpacker of w float64s: a stencil's points read as Python floats
+# straight from the mesh's C-contiguous buffer, with no numpy view
+_UNPACK = {w: struct.Struct(f"{w}d").unpack_from for w in range(2, 6)}
+
 
 @dataclass(frozen=True)
 class ConsistencyReport:
@@ -79,24 +84,24 @@ def _second_plan(spec: SecondOperator) -> _Plan:
     return plan
 
 
-def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[_Plan, list[float]]:
+def _local_points(spec: SecondOperator, mesh: Mesh, k: int) -> tuple[_Plan, Sequence[float]]:
     """(plan, x): the spec's plan and the mesh points x = t_{k+lo} .. t_{k+hi} under its stencil at index k."""
     plan = _second_plan(spec)
     lo, hi = plan.lo, plan.hi
     if k + lo < 0 or k + hi >= len(mesh.points):
         raise WindowError(f"index {k} is invalid for '{spec}' on a mesh with {mesh.n_points} points")
-    return plan, mesh.points[k + lo : k + hi + 1].tolist()
+    return plan, _UNPACK[hi - lo + 1](mesh.points, 8 * (k + lo))
 
 
-def _not_expandable(op: Operator, index: int, x: list[float]) -> MeshError:
+def _not_expandable(op: Operator, index: int, x: Sequence[float]) -> MeshError:
     """The error for an expansion of ``op`` at ``index`` that float64 cannot form on the points ``x``."""
     return MeshError(
         f"cannot expand '{op}' at index {index} in float64: its weights, moments or remainder "
-        f"are not finite on the points {x} under its stencil"
+        f"are not finite on the points {list(x)} under its stencil"
     )
 
 
-def _moments(op: Operator, plan: _Plan, x: list[float], index: int, p: int = 0) -> tuple[float, ...]:
+def _moments(op: Operator, plan: _Plan, x: Sequence[float], index: int, p: int = 0) -> tuple[float, ...]:
     """(M_2, M_3, M_4, R_p) from one pass over the stencil row: the Taylor
     moments M_q = sum_j w_j d_j**q / q!, d_j = t_{k+j} - t_k, and the
     remainder sum R_p = sum_j |w_j d_j**p| / p!.
@@ -138,7 +143,7 @@ def _moments(op: Operator, plan: _Plan, x: list[float], index: int, p: int = 0) 
     return m2, m3, m4, bound
 
 
-def _report(spec: SecondOperator, plan: _Plan, x: list[float], index: int) -> ConsistencyReport:
+def _report(spec: SecondOperator, plan: _Plan, x: Sequence[float], index: int) -> ConsistencyReport:
     """The report of M_2 and M_3 from :func:`_moments`."""
     leading, fppp, _, _ = _moments(spec, plan, x, index)
     # the frozen dataclass's __init__ sets each field through object.__setattr__;
@@ -218,7 +223,9 @@ def first_diff_error_bound(
     Forward and backward differences are bounded through f'' on the step
     they straddle; the central difference is bounded through f'' on both
     neighbouring steps, except on uniform meshes where the sharper f'''
-    form applies.  Every supremum is exact, from ``f.sup_abs``.
+    form applies.  Every supremum is exact, from ``f.supremum``, the closed
+    form that ``f.sup_abs`` wraps after its order and interval checks: the
+    orders here are 2 and 3 and the intervals are ordered, finite mesh points.
 
     The bound covers truncation only: neither the rounding of the samples
     nor that of the quotient's own operations.  Where those dominate, the
@@ -231,9 +238,9 @@ def first_diff_error_bound(
     b, a = kind.plan.lo, kind.plan.hi
     if k + b < 0 or k + a >= len(mesh.points):
         raise WindowError(f"index {k} invalid for a {kind.name.lower()} difference")
-    x = mesh.points[k + b : k + a + 1].tolist()
+    x = _UNPACK[a - b + 1](mesh.points, 8 * (k + b))
     if a - b == 1:
-        return ((x[1] - x[0]) / 2) * f.sup_abs(2, x[0], x[1])
+        return ((x[1] - x[0]) / 2) * f.supremum(2, x[0], x[1])
     # the central difference, the only one that spans two steps
     t0, t1, t2 = x
     h0, h1 = t1 - t0, t2 - t1
@@ -241,9 +248,9 @@ def first_diff_error_bound(
     if math.inf in (h0_sq, h1_sq):  # a step beyond about 1.3e154
         raise _not_expandable(kind, k, x)
     if mesh.is_uniform():
-        return (h1_sq / 3) * f.sup_abs(3, t0, t2)
-    sup_fwd = f.sup_abs(2, t1, t2)
-    sup_bwd = f.sup_abs(2, t0, t1)
+        return (h1_sq / 3) * f.supremum(3, t0, t2)
+    sup_fwd = f.supremum(2, t1, t2)
+    sup_bwd = f.supremum(2, t0, t1)
     return (h1_sq * sup_fwd + h0_sq * sup_bwd) / (2 * (h1 + h0))
 
 
@@ -272,7 +279,7 @@ def expansion_prediction(
     p = 5 if plan.lo == -plan.hi else 4
     *moments, bound = _moments(spec, plan, x, k, p)
     predicted = fsum([moments[q - 2] * float(f.evaluate(q, tk)) for q in range(2, p)])
-    return predicted, bound * f.sup_abs(p, x[0], x[-1])
+    return predicted, bound * f.supremum(p, x[0], x[-1])
 
 
 def empirical_order(

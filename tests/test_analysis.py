@@ -36,6 +36,7 @@ from helpers import (
     MESH_FAMILIES,
     exact_uniform_mesh,
     family_mesh,
+    float_bits,
     jittered_family,
     mesh_from_quadruple,
     mirrored,
@@ -732,3 +733,61 @@ class TestWindowErrors:
             name = {F: "forward", B: "backward", C: "central"}[kind]
             with pytest.raises(WindowError, match=f"index {k} invalid for a {name} difference"):
                 first_diff_error_bound(kind, f, mesh, k)
+
+
+class TestBufferEdges:
+    """The scalar calls read their points from the mesh's buffer: at both ends
+    of a minimal mesh and of a mesh whose buffer starts inside a larger array,
+    they give the bits of a mesh built from a copy of the points."""
+
+    F = make_sinusoid(1.3, 2.0, 0.4)
+    # 40 jittered points; a slice of them starts its buffer mid-allocation
+    ALL_POINTS = np.cumsum(np.random.default_rng(36).uniform(0.5, 1.5, 40))
+
+    @classmethod
+    def meshes(cls, lo, hi):
+        """(label, mesh) for the fewest points the stencil needs and for a 9-point slice at offset 13."""
+        minimal = Mesh(cls.ALL_POINTS[:hi - lo + 1].copy())
+        sliced = Mesh(cls.ALL_POINTS[13:22])
+        assert sliced.points.base is not None and sliced.points[0] == cls.ALL_POINTS[13]
+        return [("minimal", minimal), ("slice", sliced)]
+
+    @staticmethod
+    def bits(values):
+        return [float_bits(v) for v in values]
+
+    @pytest.mark.parametrize("spec", SECOND_OPERATORS, ids=str)
+    def test_second_differences(self, spec):
+        lo, hi = stencil_offsets(spec)
+        for label, mesh in self.meshes(lo, hi):
+            t = mesh.points
+            copy = Mesh(t.copy())
+            n = mesh.n_points
+            for k in (-lo, n - 1 - hi):
+                report, want = consistency_report_at(spec, mesh, k), consistency_report_at(spec, copy, k)
+                assert report.remainder_bracket == (t[k + lo], t[k + hi]), label
+                fields = [report.leading_coefficient, report.fppp_coefficient, *report.remainder_bracket]
+                assert self.bits(fields) == self.bits(
+                    [want.leading_coefficient, want.fppp_coefficient, *want.remainder_bracket]), label
+                assert report.consistent == want.consistent
+                assert self.bits(expansion_prediction(spec, self.F, mesh, k)) == self.bits(
+                    expansion_prediction(spec, self.F, copy, k)), label
+            for k in (-lo - 1, n - hi):
+                message = re.escape(f"index {k} is invalid for '{spec}' on a mesh with {n} points")
+                with pytest.raises(WindowError, match=message):
+                    consistency_report_at(spec, mesh, k)
+                with pytest.raises(WindowError, match=message):
+                    expansion_prediction(spec, self.F, mesh, k)
+
+    @pytest.mark.parametrize("kind", list(FirstDiffKind), ids=str)
+    def test_first_differences(self, kind):
+        lo, hi = stencil_offsets(kind)
+        for label, mesh in self.meshes(lo, hi):
+            copy = Mesh(mesh.points.copy())
+            n = mesh.n_points
+            for k in (-lo, n - 1 - hi):
+                assert float_bits(first_diff_error_bound(kind, self.F, mesh, k)) == float_bits(
+                    first_diff_error_bound(kind, self.F, copy, k)), label
+            for k in (-lo - 1, n - hi):
+                with pytest.raises(WindowError, match=f"^index {k} invalid for a {kind.name.lower()} difference$"):
+                    first_diff_error_bound(kind, self.F, mesh, k)

@@ -613,6 +613,20 @@ class TestCellKernel:
                           | st.sampled_from([0, 9_990, 99_999_990, 10**12 - 5, 2**53 - n]))
         assert _kernel_text(np.arange(start, start + n, dtype=np.float64)) == ["%d" % k for k in range(start, start + n)]
 
+    def test_it_formats_its_own_cells(self, monkeypatch):
+        # A cell handed to ``%`` is written with FLOAT_FORMAT; as ".17e" it has
+        # 18 significant digits, which no "%.17g" cell has, so it shows.
+        rng = np.random.default_rng(2026)
+        x = rng.integers(0, 2**64, 11_000, dtype=np.uint64).view(np.float64)
+        x = x[np.isfinite(x)][:10_000]
+        indices = np.concatenate([np.arange(10_000.0), rng.integers(0, 2**53, 10_000).astype(np.float64)])
+        before = _kernel_text(x), _kernel_text(indices)
+        monkeypatch.setattr(nufd.mesh, "FLOAT_FORMAT", ".17e")
+        after = _kernel_text(x), _kernel_text(indices)
+        assert x.size == 10_000 and np.ptp(np.frexp(x)[1]) > 2000  # across the exponent range
+        assert sum(a != b for a, b in zip(before[0], after[0])) <= 0.03 * x.size
+        assert before[1] == after[1]
+
     def test_each_block_makes_one_kernel_call(self, monkeypatch):
         calls = []
 
